@@ -12,28 +12,24 @@
 // the JSON so a 1-core CI result is not mistaken for a regression.
 //
 // Also emits BENCH_hotpath.json: the single-thread hot-path numbers
-// (index-build seconds, UpdateBenefit ns/update for the reusable scratch
-// delta, a fresh delta per update, and the group-batched closed-form
-// probes, full serial Rank() seconds) so the perf trajectory tracks
-// single-thread constant factors, not just parallel speedup — on 1-core
-// bench hardware the constant factors are the whole story. The three
-// benefit passes run interleaved within every repeat so old and new see
-// the same thermal/cache conditions; per-group-size buckets and a
-// group-size histogram localize where batching pays. `scores_match`
-// asserts all evaluation paths (and both Rank modes) score
-// bit-identically. Exit 2 = score mismatch; exit 3 = batched slower than
-// the scratch delta it replaced.
+// (index-build seconds, UpdateBenefit ns/update with one HypotheticalBatch
+// staged per group, full serial Rank() seconds) so the perf trajectory
+// tracks single-thread constant factors, not just parallel speedup — on
+// 1-core bench hardware the constant factors are the whole story.
+// Per-group-size buckets and a group-size histogram localize where the
+// probe time goes. Exit 2 = a parallel ranking differs from the serial
+// one.
 //
 // The `learner` section measures p~ with real trained committees: the
 // bank learns from ground-truth oracle feedback over the whole pool, then
 // ConfirmProbability per update and ConfirmProbabilities per group run
-// interleaved within each repeat (same flattened forests, same thermal
-// state), plus end-to-end Rank in both inference modes at 1..T threads
-// with scores_match/order_match flags. The bank's phase counters
+// interleaved within each repeat (same flat forests, same thermal state),
+// plus end-to-end Rank with and without the batch fn at 1..T threads with
+// scores_match/order_match flags. The bank's phase counters
 // (feature-encode / tree-walk seconds) land in the JSON so the learner's
 // share of ranking time is trackable. Exit 2 also covers any batched-vs-
-// scalar probability or ranking divergence; exit 3 also fires when the
-// batched learner path loses to the per-update path it replaces.
+// scalar probability or ranking divergence; exit 3 fires when the batched
+// learner path loses to the per-update path.
 //
 // Flags: --workload=name:key=val,... (default dataset1, parameterized by
 //        the legacy flags below; the first workload is measured)
@@ -156,7 +152,7 @@ int RunBench(int argc, char** argv) {
       specs.front().c_str(), resolved_rows, groups.size(), updates, repeats,
       std::thread::hardware_concurrency());
 
-  // Serial reference (scratch-reusing hot path — what Rank always does).
+  // Serial reference (one reused HypotheticalBatch — what Rank always does).
   VoiRanker serial(&engine.index(), &engine.rule_weights());
   VoiRanker::Ranking reference;
   const double serial_seconds = TimeRank(serial, groups, repeats, &reference);
@@ -178,18 +174,8 @@ int RunBench(int argc, char** argv) {
     }
   }
 
-  // UpdateBenefit over every pooled update, three ways: the reused scratch
-  // delta (the pre-batching ranking inner loop), a fresh delta per update
-  // (the pre-scratch contract), and the group-batched closed-form probes
-  // (the current inner loop). The three passes are interleaved within each
-  // repeat — back-to-back over the same groups — so frequency scaling or
-  // cache warm-up hits old and new equally, and all benefits must be
-  // bit-identical.
-  std::vector<Update> flat;
-  flat.reserve(updates);
-  for (const UpdateGroup& group : groups) {
-    flat.insert(flat.end(), group.updates.begin(), group.updates.end());
-  }
+  // UpdateBenefit over every pooled update with one HypotheticalBatch
+  // staged per group — the ranking inner loop without the p~ factor.
   const std::array<Bucket, kNumBuckets> bucket_bounds = BucketBounds();
   std::array<std::size_t, kNumBuckets> bucket_groups{};
   std::array<std::size_t, kNumBuckets> bucket_updates{};
@@ -201,107 +187,43 @@ int RunBench(int argc, char** argv) {
     ++size_histogram[group.size()];
   }
 
-  std::vector<double> scratch_benefits(flat.size(), 0.0);
-  std::vector<double> fresh_benefits(flat.size(), 0.0);
-  std::vector<double> batched_benefits(flat.size(), 0.0);
-  double scratch_seconds = -1.0;
-  double fresh_seconds = -1.0;
   double batched_seconds = -1.0;
-  std::array<double, kNumBuckets> scratch_bucket_seconds{};
   std::array<double, kNumBuckets> batched_bucket_seconds{};
+  double benefit_sum = 0.0;  // consumed below so the loop cannot be elided
   for (int r = 0; r < repeats; ++r) {
-    {  // old: one reused ViolationDelta, per-update staging
-      ViolationDelta scratch(&engine.index());
-      std::array<double, kNumBuckets> buckets{};
-      double total = 0.0;
-      std::size_t i = 0;
-      for (const UpdateGroup& group : groups) {
-        Stopwatch watch;
-        for (const Update& update : group.updates) {
-          scratch_benefits[i++] = serial.UpdateBenefit(update, &scratch);
-        }
-        const double seconds = watch.ElapsedSeconds();
-        buckets[BucketOf(group.size())] += seconds;
-        total += seconds;
-      }
-      if (scratch_seconds < 0.0 || total < scratch_seconds) {
-        scratch_seconds = total;
-        scratch_bucket_seconds = buckets;
-      }
-    }
-    {  // older still: a fresh delta constructed per update
+    HypotheticalBatch batch(&engine.index());
+    std::array<double, kNumBuckets> buckets{};
+    double total = 0.0;
+    benefit_sum = 0.0;
+    for (const UpdateGroup& group : groups) {
       Stopwatch watch;
-      for (std::size_t i = 0; i < flat.size(); ++i) {
-        fresh_benefits[i] = serial.UpdateBenefit(flat[i]);
+      for (const Update& update : group.updates) {
+        benefit_sum += serial.UpdateBenefit(update, &batch);
       }
       const double seconds = watch.ElapsedSeconds();
-      if (fresh_seconds < 0.0 || seconds < fresh_seconds) {
-        fresh_seconds = seconds;
-      }
+      buckets[BucketOf(group.size())] += seconds;
+      total += seconds;
     }
-    {  // new: one HypotheticalBatch staged per group, closed-form probes
-      HypotheticalBatch batch(&engine.index());
-      std::array<double, kNumBuckets> buckets{};
-      double total = 0.0;
-      std::size_t i = 0;
-      for (const UpdateGroup& group : groups) {
-        Stopwatch watch;
-        for (const Update& update : group.updates) {
-          batched_benefits[i++] = serial.UpdateBenefit(update, &batch);
-        }
-        const double seconds = watch.ElapsedSeconds();
-        buckets[BucketOf(group.size())] += seconds;
-        total += seconds;
-      }
-      if (batched_seconds < 0.0 || total < batched_seconds) {
-        batched_seconds = total;
-        batched_bucket_seconds = buckets;
-      }
+    if (batched_seconds < 0.0 || total < batched_seconds) {
+      batched_seconds = total;
+      batched_bucket_seconds = buckets;
     }
   }
-  const bool benefits_match = scratch_benefits == fresh_benefits &&
-                              scratch_benefits == batched_benefits;
-  const double ns_per_update_reuse =
-      flat.empty() ? 0.0 : scratch_seconds / flat.size() * 1e9;
-  const double ns_per_update_construct =
-      flat.empty() ? 0.0 : fresh_seconds / flat.size() * 1e9;
   const double ns_per_update_batched =
-      flat.empty() ? 0.0 : batched_seconds / flat.size() * 1e9;
-  const double batched_speedup =
-      batched_seconds > 0.0 ? scratch_seconds / batched_seconds : 0.0;
+      updates == 0 ? 0.0 : batched_seconds / updates * 1e9;
   std::printf(
-      "hotpath: build=%.4fs benefit-scratch=%.0fns benefit-fresh=%.0fns "
-      "benefit-batched=%.0fns (%.2fx vs scratch) serial-rank=%.4fs "
-      "benefits-match=%s\n",
-      build_seconds, ns_per_update_reuse, ns_per_update_construct,
-      ns_per_update_batched, batched_speedup, serial_seconds,
-      benefits_match ? "yes" : "NO");
-  std::printf("%10s %7s %8s %11s %11s %8s\n", "group-size", "groups",
-              "updates", "scratch-ns", "batched-ns", "speedup");
+      "hotpath: build=%.4fs benefit-batched=%.0fns serial-rank=%.4fs "
+      "benefit-sum=%.6g\n",
+      build_seconds, ns_per_update_batched, serial_seconds, benefit_sum);
+  std::printf("%10s %7s %8s %11s\n", "group-size", "groups", "updates",
+              "batched-ns");
   for (std::size_t b = 0; b < kNumBuckets; ++b) {
     if (bucket_groups[b] == 0) continue;
     const double n = static_cast<double>(bucket_updates[b]);
-    const double scratch_ns = scratch_bucket_seconds[b] / n * 1e9;
-    const double batched_ns = batched_bucket_seconds[b] / n * 1e9;
-    std::printf("%10s %7zu %8zu %11.0f %11.0f %7.2fx\n",
-                bucket_bounds[b].label, bucket_groups[b], bucket_updates[b],
-                scratch_ns, batched_ns,
-                batched_ns > 0.0 ? scratch_ns / batched_ns : 0.0);
+    std::printf("%10s %7zu %8zu %11.0f\n", bucket_bounds[b].label,
+                bucket_groups[b], bucket_updates[b],
+                batched_bucket_seconds[b] / n * 1e9);
   }
-
-  // Batched Rank must also agree with the per-update-oracle mode end to
-  // end — same scores, same chosen order.
-  VoiRanker oracle_ranker(&engine.index(), &engine.rule_weights(), nullptr,
-                          VoiRanker::ScoringMode::kPerUpdateOracle);
-  VoiRanker::Ranking oracle_ranking;
-  const double oracle_rank_seconds =
-      TimeRank(oracle_ranker, groups, repeats, &oracle_ranking);
-  const bool rank_modes_match =
-      oracle_ranking.scores == reference.scores &&
-      oracle_ranking.order == reference.order;
-  std::printf("rank: batched=%.4fs oracle=%.4fs modes-match=%s\n",
-              serial_seconds, oracle_rank_seconds,
-              rank_modes_match ? "yes" : "NO");
 
   // ---- Learner-inference section (BENCH_hotpath.json "learner") -------
   // Train the bank the way a real session would: the simulated user
@@ -329,12 +251,11 @@ int RunBench(int argc, char** argv) {
   }
 
   // p~ over the whole pool, both ways, interleaved within each repeat:
-  // one scalar ConfirmProbability call per update (the per-update oracle
-  // path) vs one ConfirmProbabilities matrix call per group (the batched
-  // path). Identical committees, so the probabilities must be
+  // one scalar ConfirmProbability call per update vs one
+  // ConfirmProbabilities matrix call per group (the ranking path). Identical committees, so the probabilities must be
   // bit-identical.
-  std::vector<double> per_update_probs(flat.size(), 0.0);
-  std::vector<double> batched_probs(flat.size(), 0.0);
+  std::vector<double> per_update_probs(updates, 0.0);
+  std::vector<double> batched_probs(updates, 0.0);
   double per_update_prob_seconds = -1.0;
   double batched_prob_seconds = -1.0;
   std::vector<double> prob_out;
@@ -370,9 +291,9 @@ int RunBench(int argc, char** argv) {
   }
   const bool learner_scores_match = per_update_probs == batched_probs;
   const double ns_confirm_per_update =
-      flat.empty() ? 0.0 : per_update_prob_seconds / flat.size() * 1e9;
+      updates == 0 ? 0.0 : per_update_prob_seconds / updates * 1e9;
   const double ns_confirm_batched =
-      flat.empty() ? 0.0 : batched_prob_seconds / flat.size() * 1e9;
+      updates == 0 ? 0.0 : batched_prob_seconds / updates * 1e9;
   const double learner_batched_speedup =
       batched_prob_seconds > 0.0
           ? per_update_prob_seconds / batched_prob_seconds
@@ -383,9 +304,10 @@ int RunBench(int argc, char** argv) {
       trained_attrs, ns_confirm_per_update, ns_confirm_batched,
       learner_batched_speedup, learner_scores_match ? "yes" : "NO");
 
-  // End-to-end Rank with the live learner in the loop, both inference
-  // modes at every thread count, interleaved within each repeat. Scores
-  // AND order must match the 1-thread per-update-oracle reference.
+  // End-to-end Rank with the live learner in the loop, with the batch fn
+  // installed and without it (scalar p~ per update), at every thread
+  // count, interleaved within each repeat. Scores AND order must match the
+  // 1-thread scalar reference.
   struct LearnerRank {
     std::size_t threads = 1;
     double batched_seconds = 0.0;
@@ -408,10 +330,8 @@ int RunBench(int argc, char** argv) {
         [&bank](std::span<const Update> updates, std::vector<double>* out) {
           bank.ConfirmProbabilities(updates, out);
         });
-    VoiRanker per_update_ranker(&engine.index(), &engine.rule_weights(),
-                                pool.get());
-    per_update_ranker.set_inference_mode(
-        VoiRanker::InferenceMode::kPerUpdateOracle);
+    const VoiRanker per_update_ranker(&engine.index(), &engine.rule_weights(),
+                                      pool.get());
     LearnerRank lr;
     lr.threads = threads;
     lr.batched_seconds = -1.0;
@@ -532,22 +452,14 @@ int RunBench(int argc, char** argv) {
         "  \"repeats\": %d,\n"
         "  \"hardware_concurrency\": %u,\n"
         "  \"index_build_seconds\": %.6f,\n"
-        "  \"update_benefit_ns_scratch_reuse\": %.1f,\n"
-        "  \"update_benefit_ns_fresh_delta\": %.1f,\n"
         "  \"update_benefit_ns_batched\": %.1f,\n"
-        "  \"batched_speedup_vs_scratch\": %.3f,\n"
         "  \"serial_rank_seconds\": %.6f,\n"
-        "  \"oracle_rank_seconds\": %.6f,\n"
         "  \"scores_match\": %s,\n",
         dataset.name.c_str(), specs.front().c_str(), resolved_rows,
         groups.size(), updates, repeats, std::thread::hardware_concurrency(),
-        build_seconds, ns_per_update_reuse, ns_per_update_construct,
-        ns_per_update_batched, batched_speedup, serial_seconds,
-        oracle_rank_seconds,
-        benefits_match && all_match && rank_modes_match &&
-                learner_scores_match && learner_rank_match
-            ? "true"
-            : "false");
+        build_seconds, ns_per_update_batched, serial_seconds,
+        all_match && learner_scores_match && learner_rank_match ? "true"
+                                                                : "false");
     // The learner section: trained-committee p~ both ways (interleaved
     // same-run numbers), the end-to-end Rank comparison per thread count,
     // and the bank's phase counters.
@@ -588,11 +500,9 @@ int RunBench(int argc, char** argv) {
       const double n = static_cast<double>(bucket_updates[b]);
       std::fprintf(out,
                    "%s    {\"sizes\": \"%s\", \"groups\": %zu, "
-                   "\"updates\": %zu, \"scratch_ns\": %.1f, "
-                   "\"batched_ns\": %.1f}",
+                   "\"updates\": %zu, \"batched_ns\": %.1f}",
                    first_bucket ? "" : ",\n", bucket_bounds[b].label,
                    bucket_groups[b], bucket_updates[b],
-                   scratch_bucket_seconds[b] / n * 1e9,
                    batched_bucket_seconds[b] / n * 1e9);
       first_bucket = false;
     }
@@ -609,19 +519,11 @@ int RunBench(int argc, char** argv) {
   } else {
     std::printf("could not write %s\n", hotpath_path.c_str());
   }
-  if (!(all_match && benefits_match && rank_modes_match &&
-        learner_scores_match && learner_rank_match)) {
+  if (!(all_match && learner_scores_match && learner_rank_match)) {
     return 2;
   }
-  // The perf gates: neither batched inner loop may lose to the per-item
-  // path it replaced at this workload's scale.
-  if (batched_seconds > scratch_seconds) {
-    std::fprintf(stderr,
-                 "FAIL: batched scoring slower than scratch-delta "
-                 "(%.0fns vs %.0fns per update)\n",
-                 ns_per_update_batched, ns_per_update_reuse);
-    return 3;
-  }
+  // The perf gates: batched learner inference may not lose to the
+  // per-update path at this workload's scale.
   if (trained_attrs > 0 && batched_prob_seconds > per_update_prob_seconds) {
     std::fprintf(stderr,
                  "FAIL: batched learner inference slower than per-update "

@@ -63,8 +63,7 @@ int main(int argc, char** argv) {
   }
 
   SessionManager manager(options);
-  const Backend backend = MakeSessionManagerBackend(&manager);
-  const std::size_t commands = ServerLoop(backend, std::cin, std::cout);
+  const std::size_t commands = ServerLoop(&manager, std::cin, std::cout);
   const WireServerStats stats = manager.Stats();
   std::fprintf(stderr,
                "gdr_server: %zu commands, %zu opens, %zu evictions, "

@@ -76,9 +76,7 @@ Status GdrEngine::Initialize() {
     if (threads > 1) workers_ = std::make_unique<ThreadPool>(threads);
     ranking_pool = workers_.get();
   }
-  voi_ = std::make_unique<VoiRanker>(index_.get(), &weights_, ranking_pool,
-                                     options_.voi_scoring);
-  voi_->set_inference_mode(options_.learner_inference);
+  voi_ = std::make_unique<VoiRanker>(index_.get(), &weights_, ranking_pool);
   voi_->set_batch_probability_fn(
       [bank = bank_.get()](std::span<const Update> updates,
                            std::vector<double>* out) {

@@ -96,19 +96,6 @@ struct GdrOptions {
   /// threads. The pool must outlive the engine. Scores stay bit-identical:
   /// pool size never affects ranking output, only wall-clock time.
   ThreadPool* shared_pool = nullptr;
-  /// VOI scoring implementation: the group-batched closed-form path
-  /// (default) or the per-update delta oracle it is differentially pinned
-  /// against. Both produce bit-identical scores and ranking order — the
-  /// oracle exists for differential suites and perf comparison, never as a
-  /// correctness escape hatch.
-  VoiRanker::ScoringMode voi_scoring = VoiRanker::ScoringMode::kBatched;
-  /// Learner inference implementation, the p̃ side of the same split:
-  /// group-batched matrix encoding + tree-at-a-time forest evaluation
-  /// (default) or the scalar per-update oracle it is differentially
-  /// pinned against. Bit-identical probabilities, scores, and ranking
-  /// order either way.
-  VoiRanker::InferenceMode learner_inference =
-      VoiRanker::InferenceMode::kBatched;
 };
 
 /// Per-phase wall-clock timings (seconds), accumulated by the engine.

@@ -29,19 +29,12 @@ struct DecisionTreeOptions {
 /// uses via WEKA. One-vs-rest equality splits keep high-cardinality
 /// categorical attributes (city names, zip codes) tractable.
 ///
-/// Two representations coexist after Train():
-///  * the recursive `nodes_` vector the builder produces — each node a
-///    struct with its own per-leaf distribution vector. Kept as the
-///    differential oracle (`PredictDistribution` walks it).
-///  * a flattened SoA mirror — feature / threshold / left / right /
-///    majority as parallel arrays, every leaf distribution packed into one
-///    contiguous pool indexed by offset — built once at the end of Train.
-///    `Predict` and `PredictDistributionInto` descend the flat arrays:
-///    batch evaluation touches a handful of dense arrays instead of
-///    chasing 48-byte nodes with heap-allocated payloads, and returning a
-///    distribution is a pool memcpy instead of a vector copy-construct.
-/// The learner_batch differential suite pins the flat walk to the
-/// recursive oracle on fuzzed inputs.
+/// The tree is stored flat, structure-of-arrays: feature / categorical /
+/// threshold / left / right / majority as parallel arrays indexed by node
+/// id in pre-order (root = 0), and every leaf distribution packed into one
+/// contiguous pool indexed by offset. The builder writes these arrays
+/// directly. Batch evaluation touches a handful of dense arrays, and
+/// returning a distribution is a pool copy.
 ///
 /// Deterministic given the training data, options, and Rng state.
 class DecisionTree {
@@ -60,9 +53,9 @@ class DecisionTree {
   Status Train(const TrainingSet& data, const DecisionTreeOptions& options,
                Rng* rng = nullptr);
 
-  bool trained() const { return !nodes_.empty(); }
+  bool trained() const { return !feature_.empty(); }
 
-  /// Majority class at the reached leaf (flat-array descent).
+  /// Majority class at the reached leaf.
   int Predict(const std::vector<double>& features) const {
     return Predict(features.data());
   }
@@ -70,18 +63,11 @@ class DecisionTree {
   /// Raw-pointer overload for batch callers holding a row-major feature
   /// matrix; `features` must point at num_features doubles.
   int Predict(const double* features) const {
-    return flat_majority_[static_cast<std::size_t>(DescendFlat(features))];
+    return majority_[static_cast<std::size_t>(LeafOf(features))];
   }
 
-  /// Class-frequency distribution at the reached leaf (sums to 1).
-  /// Recursive-representation walk, kept as the oracle the flat paths are
-  /// differentially pinned against; allocates the result.
-  std::vector<double> PredictDistribution(
-      const std::vector<double>& features) const;
-
-  /// No-alloc variant: copies the reached leaf's distribution out of the
-  /// contiguous pool into `out` (resized to num_classes). Bit-identical to
-  /// PredictDistribution.
+  /// Class-frequency distribution at the reached leaf (sums to 1), copied
+  /// out of the contiguous pool into `out` (resized to num_classes).
   void PredictDistributionInto(const std::vector<double>& features,
                                std::vector<double>* out) const {
     PredictDistributionInto(features.data(), out);
@@ -90,64 +76,52 @@ class DecisionTree {
                                std::vector<double>* out) const;
 
   /// Number of nodes (diagnostics / tests).
-  std::size_t node_count() const { return nodes_.size(); }
+  std::size_t node_count() const { return feature_.size(); }
   int num_classes() const { return num_classes_; }
 
  private:
-  struct Node {
-    // Internal node: test sends an example left when
-    //   numeric:      features[feature] <= threshold
-    //   categorical:  features[feature] == threshold
-    std::int32_t feature = -1;  // -1 marks a leaf
-    bool categorical = false;
-    double threshold = 0.0;
-    std::int32_t left = -1;
-    std::int32_t right = -1;
-    // Leaf payload.
-    std::int32_t majority = 0;
-    std::vector<double> distribution;
-  };
-
-  // Recursive builder; returns the index of the created node.
+  // Recursive builder; appends the created node (and, before returning,
+  // its whole subtree) in pre-order and returns its index.
   std::int32_t Build(const TrainingSet& data, std::vector<std::size_t>& items,
                      int depth, const DecisionTreeOptions& options, Rng* rng);
 
   std::int32_t MakeLeaf(const TrainingSet& data,
                         const std::vector<std::size_t>& items);
 
-  const Node& Descend(const std::vector<double>& features) const;
+  // Appends one node to the parallel arrays; returns its index.
+  std::int32_t AppendNode(std::int32_t feature, bool categorical,
+                          double threshold, std::int32_t majority,
+                          std::int32_t dist_offset);
 
-  // Mirrors nodes_ into the SoA arrays + distribution pool (end of Train).
-  void Flatten();
-
-  // Flat-array descent to a leaf's node index.
-  std::int32_t DescendFlat(const double* features) const {
+  // Descent to a leaf's node index.
+  std::int32_t LeafOf(const double* features) const {
     std::int32_t i = 0;
-    std::int32_t f = flat_feature_[0];
+    std::int32_t f = feature_[0];
     while (f >= 0) {
       const std::size_t n = static_cast<std::size_t>(i);
       const double x = features[static_cast<std::size_t>(f)];
-      const bool goes_left = flat_categorical_[n] != 0
-                                 ? (x == flat_threshold_[n])
-                                 : (x <= flat_threshold_[n]);
-      i = goes_left ? flat_left_[n] : flat_right_[n];
-      f = flat_feature_[static_cast<std::size_t>(i)];
+      const bool goes_left = categorical_[n] != 0 ? (x == threshold_[n])
+                                                  : (x <= threshold_[n]);
+      i = goes_left ? left_[n] : right_[n];
+      f = feature_[static_cast<std::size_t>(i)];
     }
     return i;
   }
 
-  std::vector<Node> nodes_;
   int num_classes_ = 0;
 
-  // SoA mirror, parallel to nodes_. flat_dist_offset_ indexes dist_pool_
-  // (num_classes_ doubles per leaf; -1 for internal nodes).
-  std::vector<std::int32_t> flat_feature_;     // -1 marks a leaf
-  std::vector<std::uint8_t> flat_categorical_;
-  std::vector<double> flat_threshold_;
-  std::vector<std::int32_t> flat_left_;
-  std::vector<std::int32_t> flat_right_;
-  std::vector<std::int32_t> flat_majority_;
-  std::vector<std::int32_t> flat_dist_offset_;
+  // One entry per node. An internal node sends an example left when
+  //   numeric:      features[feature] <= threshold
+  //   categorical:  features[feature] == threshold
+  // dist_offset_ indexes dist_pool_ (num_classes_ doubles per leaf; -1 for
+  // internal nodes).
+  std::vector<std::int32_t> feature_;  // -1 marks a leaf
+  std::vector<std::uint8_t> categorical_;
+  std::vector<double> threshold_;
+  std::vector<std::int32_t> left_;
+  std::vector<std::int32_t> right_;
+  std::vector<std::int32_t> majority_;
+  std::vector<std::int32_t> dist_offset_;
   std::vector<double> dist_pool_;
 };
 

@@ -11,6 +11,10 @@
 
 namespace gdr::server {
 
+// The service layer's value types: session addresses, `open` settings and
+// the transport-ready results SessionManager returns and the line protocol
+// (server/protocol.h) renders.
+
 /// A session's address: every wire command names the tenant and the
 /// session id. Ids are restricted to [A-Za-z0-9._-], 1..64 chars, so they
 /// can double as spill-file path components and wire tokens.
@@ -84,7 +88,7 @@ struct WireServerStats {
   std::size_t opens = 0;
   std::size_t evictions = 0;
   std::size_t rehydrations = 0;
-  /// Shared ranking pool observability: worker count (1 when the backend
+  /// Shared ranking pool observability: worker count (1 when the manager
   /// runs ranking serially and owns no pool), queued-but-unstarted tasks at
   /// sample time, and tasks completed since the pool was built.
   std::size_t pool_threads = 1;
@@ -99,42 +103,6 @@ struct WireServerStats {
   double learner_tree_walk_seconds = 0.0;
   double voi_probe_seconds = 0.0;
   std::uint64_t voi_probes = 0;
-};
-
-/// The pluggable backend boundary: one struct of operations per backend
-/// implementation (a function-pointer vtable in the C tradition — the
-/// transport layer is compiled against this table only, never against a
-/// concrete backend type, so an HTTP front-end or a sharded/remote backend
-/// slots in without touching the protocol code). `self` is the backend's
-/// opaque state pointer, threaded through every op.
-struct BackendOps {
-  const char* name;
-  Result<WireOpenResult> (*open)(void* self, const SessionKey& key,
-                                 const OpenConfig& config);
-  Result<WireBatch> (*next)(void* self, const SessionKey& key);
-  Result<WireFeedbackResult> (*feedback)(
-      void* self, const SessionKey& key, std::uint64_t update_id,
-      Feedback feedback, const std::optional<std::string>& value);
-  Result<WireAppendResult> (*append)(
-      void* self, const SessionKey& key,
-      const std::vector<std::vector<std::string>>& rows);
-  /// Persists the session's snapshot to its spill file (crash-safe write);
-  /// the session stays resident. Returns bytes written.
-  Result<std::size_t> (*snapshot)(void* self, const SessionKey& key);
-  /// Snapshot + free the in-memory state; the next touch rehydrates.
-  /// Returns bytes written.
-  Result<std::size_t> (*evict)(void* self, const SessionKey& key);
-  /// Current table contents, row-major — the bit-identity probe used by
-  /// the differential tests and the bench self-check.
-  Result<std::vector<std::string>> (*dump)(void* self, const SessionKey& key);
-  Status (*close)(void* self, const SessionKey& key);
-  WireServerStats (*stats)(void* self);
-};
-
-/// A bound backend: state + operations. Copyable, non-owning.
-struct Backend {
-  void* self = nullptr;
-  const BackendOps* ops = nullptr;
 };
 
 }  // namespace gdr::server

@@ -2,11 +2,13 @@
 
 #include <cstdio>
 #include <istream>
+#include <limits>
 #include <ostream>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "server/session_manager.h"
 #include "util/strings.h"
 
 namespace gdr::server {
@@ -43,6 +45,19 @@ std::string FormatDouble(double value) {
   return buf;
 }
 
+// An `open` option held in an int field: 1..INT_MAX, rejected rather than
+// narrowed when larger.
+Result<int> ParsePositiveInt(std::string_view value, const char* what) {
+  GDR_ASSIGN_OR_RETURN(const std::int64_t parsed, ParseInt64(value, what));
+  if (parsed < 1 || parsed > std::numeric_limits<int>::max()) {
+    return Status::InvalidArgument(std::string(what) + " must be in [1, " +
+                                   std::to_string(
+                                       std::numeric_limits<int>::max()) +
+                                   "]");
+  }
+  return static_cast<int>(parsed);
+}
+
 // Parses the optional `key=value` tail of `open` into `config`.
 Status ParseOpenOption(std::string_view token, OpenConfig* config) {
   const std::size_t eq = token.find('=');
@@ -55,9 +70,7 @@ Status ParseOpenOption(std::string_view token, OpenConfig* config) {
   if (key == "strategy") {
     config->strategy = std::string(value);
   } else if (key == "ns") {
-    GDR_ASSIGN_OR_RETURN(const std::int64_t ns, ParseInt64(value, "ns"));
-    if (ns < 1) return Status::InvalidArgument("ns must be >= 1");
-    config->ns = static_cast<int>(ns);
+    GDR_ASSIGN_OR_RETURN(config->ns, ParsePositiveInt(value, "ns"));
   } else if (key == "budget") {
     GDR_ASSIGN_OR_RETURN(const std::uint64_t budget,
                          ParseUint64(value, "budget"));
@@ -65,12 +78,8 @@ Status ParseOpenOption(std::string_view token, OpenConfig* config) {
   } else if (key == "seed") {
     GDR_ASSIGN_OR_RETURN(config->seed, ParseUint64(value, "seed"));
   } else if (key == "max-outer") {
-    GDR_ASSIGN_OR_RETURN(const std::int64_t max_outer,
-                         ParseInt64(value, "max-outer"));
-    if (max_outer < 1) {
-      return Status::InvalidArgument("max-outer must be >= 1");
-    }
-    config->max_outer_iterations = static_cast<int>(max_outer);
+    GDR_ASSIGN_OR_RETURN(config->max_outer_iterations,
+                         ParsePositiveInt(value, "max-outer"));
   } else {
     return Status::InvalidArgument("unknown open option '" +
                                    std::string(key) + "'");
@@ -111,7 +120,7 @@ Status ParseRows(std::string_view payload,
 
 }  // namespace
 
-bool HandleCommand(const Backend& backend, std::string_view line,
+bool HandleCommand(SessionManager* manager, std::string_view line,
                    std::string* reply) {
   // Tolerate CRLF input.
   if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
@@ -124,7 +133,7 @@ bool HandleCommand(const Backend& backend, std::string_view line,
     return false;
   }
   if (cmd == "stats") {
-    const WireServerStats stats = backend.ops->stats(backend.self);
+    const WireServerStats stats = manager->Stats();
     std::ostringstream out;
     out << "OK resident=" << stats.resident_sessions
         << " evicted=" << stats.evicted_sessions
@@ -166,8 +175,7 @@ bool HandleCommand(const Backend& backend, std::string_view line,
         return true;
       }
     }
-    const Result<WireOpenResult> opened =
-        backend.ops->open(backend.self, key, config);
+    const Result<WireOpenResult> opened = manager->Open(key, config);
     if (!opened.ok()) {
       AppendError(opened.status(), reply);
       return true;
@@ -180,7 +188,7 @@ bool HandleCommand(const Backend& backend, std::string_view line,
   }
 
   if (cmd == "next") {
-    const Result<WireBatch> batch = backend.ops->next(backend.self, key);
+    const Result<WireBatch> batch = manager->Next(key);
     if (!batch.ok()) {
       AppendError(batch.status(), reply);
       return true;
@@ -236,7 +244,7 @@ bool HandleCommand(const Backend& backend, std::string_view line,
       value = std::move(decoded);
     }
     const Result<WireFeedbackResult> result =
-        backend.ops->feedback(backend.self, key, *update_id, feedback, value);
+        manager->Feedback(key, *update_id, feedback, value);
     if (!result.ok()) {
       AppendError(result.status(), reply);
       return true;
@@ -261,8 +269,7 @@ bool HandleCommand(const Backend& backend, std::string_view line,
       AppendError(parsed, reply);
       return true;
     }
-    const Result<WireAppendResult> result =
-        backend.ops->append(backend.self, key, rows);
+    const Result<WireAppendResult> result = manager->Append(key, rows);
     if (!result.ok()) {
       AppendError(result.status(), reply);
       return true;
@@ -276,9 +283,8 @@ bool HandleCommand(const Backend& backend, std::string_view line,
   }
 
   if (cmd == "snapshot" || cmd == "evict") {
-    const auto op = cmd == "snapshot" ? backend.ops->snapshot
-                                      : backend.ops->evict;
-    const Result<std::size_t> bytes = op(backend.self, key);
+    const Result<std::size_t> bytes =
+        cmd == "snapshot" ? manager->Snapshot(key) : manager->Evict(key);
     if (!bytes.ok()) {
       AppendError(bytes.status(), reply);
       return true;
@@ -288,8 +294,7 @@ bool HandleCommand(const Backend& backend, std::string_view line,
   }
 
   if (cmd == "dump") {
-    const Result<std::vector<std::string>> cells =
-        backend.ops->dump(backend.self, key);
+    const Result<std::vector<std::string>> cells = manager->Dump(key);
     if (!cells.ok()) {
       AppendError(cells.status(), reply);
       return true;
@@ -302,7 +307,7 @@ bool HandleCommand(const Backend& backend, std::string_view line,
   }
 
   if (cmd == "close") {
-    const Status closed = backend.ops->close(backend.self, key);
+    const Status closed = manager->Close(key);
     if (!closed.ok()) {
       AppendError(closed, reply);
       return true;
@@ -315,13 +320,13 @@ bool HandleCommand(const Backend& backend, std::string_view line,
   return true;
 }
 
-std::size_t ServerLoop(const Backend& backend, std::istream& in,
+std::size_t ServerLoop(SessionManager* manager, std::istream& in,
                        std::ostream& out) {
   std::size_t commands = 0;
   std::string line;
   while (std::getline(in, line)) {
     std::string reply;
-    const bool keep_going = HandleCommand(backend, line, &reply);
+    const bool keep_going = HandleCommand(manager, line, &reply);
     if (!reply.empty()) {
       ++commands;
       out << reply;

@@ -5,12 +5,12 @@
 #include <string>
 #include <string_view>
 
-#include "server/backend.h"
-
 namespace gdr::server {
 
-/// The line-oriented wire protocol over a Backend. One command per line,
-/// whitespace-separated tokens; arbitrary byte strings (cell values,
+class SessionManager;
+
+/// The line-oriented wire protocol over a SessionManager. One command per
+/// line, whitespace-separated tokens; arbitrary byte strings (cell values,
 /// volunteered repairs) travel hex-encoded so they can never break the
 /// framing. Replies are status-prefixed: `OK ...` on success, `ERR <code>
 /// <message>` on failure. Two commands (`next`, `dump`) reply with a
@@ -43,18 +43,18 @@ namespace gdr::server {
 ///
 /// Blank lines and lines starting with '#' are ignored without reply.
 
-/// Executes one command line against `backend`, appending the full reply
+/// Executes one command line against `manager`, appending the full reply
 /// (one or more '\n'-terminated lines) to `reply`. Returns false only for
 /// `quit` — the caller should stop reading. Malformed input never aborts:
-/// it produces an `ERR InvalidArgument ...` reply like any backend error.
-bool HandleCommand(const Backend& backend, std::string_view line,
+/// it produces an `ERR InvalidArgument ...` reply like any manager error.
+bool HandleCommand(SessionManager* manager, std::string_view line,
                    std::string* reply);
 
 /// Reads commands from `in` until EOF or `quit`, writing replies to `out`
 /// (flushed per command, so the loop can sit on a pipe). Returns the
 /// number of commands executed. This is the whole server: the stdio
 /// binary and the in-process tests both run exactly this function.
-std::size_t ServerLoop(const Backend& backend, std::istream& in,
+std::size_t ServerLoop(SessionManager* manager, std::istream& in,
                        std::ostream& out);
 
 }  // namespace gdr::server

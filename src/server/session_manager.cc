@@ -476,63 +476,4 @@ WireServerStats SessionManager::Stats() const {
   return stats;
 }
 
-// ---------------------------------------------------------------------------
-// The vtable binding: SessionManager behind BackendOps.
-// ---------------------------------------------------------------------------
-
-namespace {
-
-SessionManager* Self(void* self) { return static_cast<SessionManager*>(self); }
-
-Result<WireOpenResult> ManagerOpen(void* self, const SessionKey& key,
-                                   const OpenConfig& config) {
-  return Self(self)->Open(key, config);
-}
-Result<WireBatch> ManagerNext(void* self, const SessionKey& key) {
-  return Self(self)->Next(key);
-}
-Result<WireFeedbackResult> ManagerFeedback(
-    void* self, const SessionKey& key, std::uint64_t update_id,
-    Feedback feedback, const std::optional<std::string>& value) {
-  return Self(self)->Feedback(key, update_id, feedback, value);
-}
-Result<WireAppendResult> ManagerAppend(
-    void* self, const SessionKey& key,
-    const std::vector<std::vector<std::string>>& rows) {
-  return Self(self)->Append(key, rows);
-}
-Result<std::size_t> ManagerSnapshot(void* self, const SessionKey& key) {
-  return Self(self)->Snapshot(key);
-}
-Result<std::size_t> ManagerEvict(void* self, const SessionKey& key) {
-  return Self(self)->Evict(key);
-}
-Result<std::vector<std::string>> ManagerDump(void* self,
-                                             const SessionKey& key) {
-  return Self(self)->Dump(key);
-}
-Status ManagerClose(void* self, const SessionKey& key) {
-  return Self(self)->Close(key);
-}
-WireServerStats ManagerStats(void* self) { return Self(self)->Stats(); }
-
-constexpr BackendOps kSessionManagerOps = {
-    /*name=*/"session-manager",
-    /*open=*/&ManagerOpen,
-    /*next=*/&ManagerNext,
-    /*feedback=*/&ManagerFeedback,
-    /*append=*/&ManagerAppend,
-    /*snapshot=*/&ManagerSnapshot,
-    /*evict=*/&ManagerEvict,
-    /*dump=*/&ManagerDump,
-    /*close=*/&ManagerClose,
-    /*stats=*/&ManagerStats,
-};
-
-}  // namespace
-
-Backend MakeSessionManagerBackend(SessionManager* manager) {
-  return Backend{manager, &kSessionManagerOps};
-}
-
 }  // namespace gdr::server

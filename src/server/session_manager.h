@@ -131,10 +131,6 @@ class SessionManager {
   std::atomic<std::size_t> rehydrations_{0};
 };
 
-/// Binds `manager` behind the vtable boundary. The returned Backend is
-/// non-owning; `manager` must outlive every use.
-Backend MakeSessionManagerBackend(SessionManager* manager);
-
 }  // namespace gdr::server
 
 #endif  // GDR_SERVER_SESSION_MANAGER_H_

@@ -1,7 +1,7 @@
-// The service layer: SessionManager semantics behind the BackendOps
-// vtable, the line protocol over it, and the load-bearing differential —
-// a session evicted to disk and rehydrated mid-run must finish with
-// finals bit-identical to a never-evicted control.
+// The service layer: SessionManager semantics, the line protocol over it,
+// and the load-bearing differential — a session evicted to disk and
+// rehydrated mid-run must finish with finals bit-identical to a
+// never-evicted control.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -53,19 +53,19 @@ WirePolicy PolicyFor(std::uint64_t update_id) {
   return {Feedback::kConfirm, std::nullopt};
 }
 
-// Drives the session to kDone through the backend. When `evict_between`
+// Drives the session to kDone through the manager. When `evict_between`
 // is set, the session is forced to disk before every pull *and* between
 // delivery and feedback — the adversarial placement: rehydration must
 // resurrect the outstanding batch with live update ids.
-void DriveToDone(const Backend& backend, const SessionKey& key,
+void DriveToDone(SessionManager* manager, const SessionKey& key,
                  bool evict_between) {
   for (int guard = 0;; ++guard) {
     ASSERT_LT(guard, 300) << "session did not terminate";
     if (evict_between) {
-      const auto evicted = backend.ops->evict(backend.self, key);
+      const auto evicted = manager->Evict(key);
       ASSERT_TRUE(evicted.ok()) << evicted.status().ToString();
     }
-    const auto batch = backend.ops->next(backend.self, key);
+    const auto batch = manager->Next(key);
     ASSERT_TRUE(batch.ok()) << batch.status().ToString();
     if (batch->suggestions.empty()) {
       EXPECT_EQ(batch->state, "done");
@@ -75,13 +75,13 @@ void DriveToDone(const Backend& backend, const SessionKey& key,
     for (const WireSuggestion& s : batch->suggestions) {
       if (evict_between && first) {
         // Mid-batch eviction: feedback lands on a rehydrated session.
-        const auto evicted = backend.ops->evict(backend.self, key);
+        const auto evicted = manager->Evict(key);
         ASSERT_TRUE(evicted.ok()) << evicted.status().ToString();
         first = false;
       }
       const WirePolicy policy = PolicyFor(s.update_id);
-      const auto outcome = backend.ops->feedback(
-          backend.self, key, s.update_id, policy.feedback, policy.value);
+      const auto outcome =
+          manager->Feedback(key, s.update_id, policy.feedback, policy.value);
       ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
     }
   }
@@ -178,14 +178,13 @@ TEST(SessionManagerTest, AdmissionCapRejectsBeyondMaxSessions) {
 
 TEST(SessionManagerTest, EvictedAndRehydratedMatchesResidentControl) {
   SessionManager manager(TestOptions("gdr_spill_differential"));
-  const Backend backend = MakeSessionManagerBackend(&manager);
   const SessionKey control{"diff", "control"};
   const SessionKey churned{"diff", "churned"};
   ASSERT_TRUE(manager.Open(control, Figure1Config()).ok());
   ASSERT_TRUE(manager.Open(churned, Figure1Config()).ok());
 
-  DriveToDone(backend, control, /*evict_between=*/false);
-  DriveToDone(backend, churned, /*evict_between=*/true);
+  DriveToDone(&manager, control, /*evict_between=*/false);
+  DriveToDone(&manager, churned, /*evict_between=*/true);
 
   const auto control_cells = manager.Dump(control);
   const auto churned_cells = manager.Dump(churned);
@@ -205,22 +204,20 @@ TEST(SessionManagerTest, MemoryBudgetEvictsColdSessionsTransparently) {
   SessionManagerOptions options = TestOptions("gdr_spill_budget");
   options.memory_budget_bytes = 1;
   SessionManager manager(options);
-  const Backend backend = MakeSessionManagerBackend(&manager);
   const std::vector<SessionKey> keys = {
       {"t", "a"}, {"t", "b"}, {"t", "c"}};
   for (const SessionKey& key : keys) {
     ASSERT_TRUE(manager.Open(key, Figure1Config()).ok());
   }
   for (const SessionKey& key : keys) {
-    DriveToDone(backend, key, /*evict_between=*/false);
+    DriveToDone(&manager, key, /*evict_between=*/false);
   }
   EXPECT_GT(manager.Stats().evictions, 0u);
 
   // Same drive on an unconstrained manager: identical finals.
   SessionManager unconstrained(TestOptions("gdr_spill_budget_control"));
-  const Backend control = MakeSessionManagerBackend(&unconstrained);
   ASSERT_TRUE(unconstrained.Open(keys[0], Figure1Config()).ok());
-  DriveToDone(control, keys[0], /*evict_between=*/false);
+  DriveToDone(&unconstrained, keys[0], /*evict_between=*/false);
   EXPECT_EQ(unconstrained.Stats().evictions, 0u);
   for (const SessionKey& key : keys) {
     EXPECT_EQ(*manager.Dump(key), *unconstrained.Dump(keys[0]));
@@ -247,10 +244,9 @@ TEST(SessionManagerTest, CloseDropsTheSpillFile) {
 std::vector<std::string> RunScript(const std::string& script,
                                    const std::string& spill_name) {
   SessionManager manager(TestOptions(spill_name));
-  const Backend backend = MakeSessionManagerBackend(&manager);
   std::istringstream in(script);
   std::ostringstream out;
-  ServerLoop(backend, in, out);
+  ServerLoop(&manager, in, out);
   std::vector<std::string> lines;
   std::istringstream replies(out.str());
   std::string line;
@@ -311,11 +307,29 @@ TEST(ProtocolTest, MalformedInputGetsTypedErrorsNeverCrashes) {
   EXPECT_EQ(lines[13], "OK bye");
 }
 
+TEST(ProtocolTest, OpenRejectsIntOptionsAboveIntMax) {
+  // ns and max-outer land in int fields; values past INT_MAX must be
+  // rejected, not narrowed (2^32 would wrap to 0 and label nothing).
+  const auto lines = RunScript(
+      "open t a figure1 ns=4294967296\n"
+      "open t b figure1 ns=3000000000\n"
+      "open t c figure1 max-outer=4294967296\n"
+      "open t d figure1 max-outer=3000000000\n"
+      "open t e figure1 ns=2147483647 max-outer=2147483647\n"
+      "quit\n",
+      "gdr_spill_protocol_int_range");
+  ASSERT_EQ(lines.size(), 6u);
+  for (std::size_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(lines[i].rfind("ERR InvalidArgument", 0), 0u) << lines[i];
+  }
+  EXPECT_EQ(lines[4].rfind("OK state=", 0), 0u) << lines[4];
+  EXPECT_EQ(lines[5], "OK bye");
+}
+
 TEST(ProtocolTest, AppendCarriesArbitraryBytesInHex) {
   SessionManager manager(TestOptions("gdr_spill_append"));
-  const Backend backend = MakeSessionManagerBackend(&manager);
   std::string reply;
-  ASSERT_TRUE(HandleCommand(backend, "open t s figure1", &reply));
+  ASSERT_TRUE(HandleCommand(&manager, "open t s figure1", &reply));
 
   // A seventh customer contradicting phi1 (ZIP=46360 -> CT=Michigan City),
   // cells hex-encoded: Gil|H2|Oak Ave|Michigan Cty|IN|46360.
@@ -329,7 +343,7 @@ TEST(ProtocolTest, AppendCarriesArbitraryBytesInHex) {
   };
   reply.clear();
   ASSERT_TRUE(HandleCommand(
-      backend,
+      &manager,
       "append t s " + hex_row({"Gil", "H2", "Oak Ave", "Michigan Cty", "IN",
                                "46360"}),
       &reply));
@@ -338,29 +352,28 @@ TEST(ProtocolTest, AppendCarriesArbitraryBytesInHex) {
   // Arity mismatch is a typed error, not a crash.
   reply.clear();
   ASSERT_TRUE(HandleCommand(
-      backend, "append t s " + hex_row({"too", "short"}), &reply));
+      &manager, "append t s " + hex_row({"too", "short"}), &reply));
   EXPECT_EQ(reply.rfind("ERR ", 0), 0u);
 
   // The appended row round-trips through dump (7 rows now).
   reply.clear();
-  ASSERT_TRUE(HandleCommand(backend, "dump t s", &reply));
+  ASSERT_TRUE(HandleCommand(&manager, "dump t s", &reply));
   EXPECT_EQ(reply.rfind("OK n=42\n", 0), 0u);
   EXPECT_NE(reply.find("C " + EncodeHex("Gil")), std::string::npos);
 }
 
 TEST(ProtocolTest, QuitStopsTheLoop) {
   SessionManager manager(TestOptions("gdr_spill_quit"));
-  const Backend backend = MakeSessionManagerBackend(&manager);
   std::string reply;
-  EXPECT_FALSE(HandleCommand(backend, "quit", &reply));
+  EXPECT_FALSE(HandleCommand(&manager, "quit", &reply));
   EXPECT_EQ(reply, "OK bye\n");
 
   std::istringstream in("stats\nquit\nstats\n");
   std::ostringstream out;
-  EXPECT_EQ(ServerLoop(backend, in, out), 2u);  // the trailing stats never ran
+  EXPECT_EQ(ServerLoop(&manager, in, out), 2u);  // the trailing stats never ran
 }
 
-TEST(SessionManagerTest, StatsReportSerialBackendWithoutPool) {
+TEST(SessionManagerTest, StatsReportSerialManagerWithoutPool) {
   // num_threads=1 (the default): ranking is serial, no pool is built, and
   // the stats present the serial facts rather than garbage.
   SessionManager manager(TestOptions("gdr_spill_pool_stats_serial"));
@@ -376,9 +389,8 @@ TEST(SessionManagerTest, StatsSurfaceSharedRankingPoolCounters) {
   SessionManager manager(options);
   EXPECT_EQ(manager.Stats().pool_threads, 2u);
 
-  const Backend backend = MakeSessionManagerBackend(&manager);
   ASSERT_TRUE(manager.Open({"t", "s"}, Figure1Config()).ok());
-  DriveToDone(backend, {"t", "s"}, /*evict_between=*/false);
+  DriveToDone(&manager, {"t", "s"}, /*evict_between=*/false);
 
   const WireServerStats stats = manager.Stats();
   EXPECT_EQ(stats.pool_threads, 2u);

@@ -112,43 +112,6 @@ TEST(SessionDifferentialTest, ShimAndHandPumpedSessionAreBitIdentical) {
   }
 }
 
-TEST(SessionDifferentialTest, ExperimentDriversAreBitIdentical) {
-  const Dataset dataset = SmallDataset();
-  for (Strategy strategy : kAllStrategies) {
-    ExperimentConfig config;
-    config.strategy = strategy;
-    config.feedback_budget = 80;
-    config.seed = 5;
-    config.sample_every = 10;
-    config.volunteer_probability = 0.2;
-
-    config.driver = ExperimentDriver::kEngineRun;
-    auto via_run = RunStrategyExperiment(dataset, config);
-    config.driver = ExperimentDriver::kSessionPump;
-    auto via_session = RunStrategyExperiment(dataset, config);
-    ASSERT_TRUE(via_run.ok());
-    ASSERT_TRUE(via_session.ok());
-
-    const std::string label = StrategyName(strategy);
-    ExpectSameStats(via_run->stats, via_session->stats, label);
-    EXPECT_EQ(via_run->final_loss, via_session->final_loss) << label;
-    EXPECT_EQ(via_run->remaining_violations,
-              via_session->remaining_violations)
-        << label;
-    EXPECT_EQ(via_run->accuracy.Precision(), via_session->accuracy.Precision())
-        << label;
-    EXPECT_EQ(via_run->accuracy.Recall(), via_session->accuracy.Recall())
-        << label;
-    ASSERT_EQ(via_run->curve.size(), via_session->curve.size()) << label;
-    for (std::size_t i = 0; i < via_run->curve.size(); ++i) {
-      EXPECT_EQ(via_run->curve[i].feedback, via_session->curve[i].feedback);
-      EXPECT_EQ(via_run->curve[i].loss, via_session->curve[i].loss);
-      EXPECT_EQ(via_run->curve[i].improvement_pct,
-                via_session->curve[i].improvement_pct);
-    }
-  }
-}
-
 // Runs a session to completion, optionally interrupting once: after
 // `interrupt_after` labels have been applied, the *current batch* is left
 // half-answered (one more suggestion submitted, the rest outstanding) and

@@ -18,6 +18,7 @@
 #include "repair/update_generator.h"
 #include "repair/update_pool.h"
 #include "sim/stream_gen.h"
+#include "support/oracles.h"
 #include "util/rng.h"
 #include "workload/row_stream.h"
 
@@ -235,9 +236,10 @@ TEST(StreamingIndexTest, AppendBumpsVersionOncePerCall) {
   EXPECT_EQ(index.version(), v0 + 2);
 }
 
-TEST(StreamingIndexTest, DeltaOverAppendedRowsMatchesRebuild) {
-  // ViolationDelta is the hypothetical-scoring substrate; it must treat
-  // appended rows exactly like original ones.
+TEST(StreamingIndexTest, HypotheticalBatchOverAppendedRowsMatchesMutateAndRevert) {
+  // HypotheticalBatch is the hypothetical-scoring substrate; it must treat
+  // appended rows exactly like original ones. Every probe is checked
+  // against applying the write to a mirror index and reverting it.
   const RuleSet rules = TestRules();
   Table table(rules.schema());
   Rng rng(31);
@@ -245,42 +247,54 @@ TEST(StreamingIndexTest, DeltaOverAppendedRowsMatchesRebuild) {
     ASSERT_TRUE(table.AppendRow(RandomRow(&rng)).ok());
   }
   ViolationIndex index(&table, &rules);
-  std::vector<std::vector<std::string>> batch;
-  for (int i = 0; i < 10; ++i) batch.push_back(RandomRow(&rng));
-  ASSERT_TRUE(index.AppendRows(batch).ok());
+  std::vector<std::vector<std::string>> batch_rows;
+  for (int i = 0; i < 10; ++i) batch_rows.push_back(RandomRow(&rng));
+  ASSERT_TRUE(index.AppendRows(batch_rows).ok());
 
-  ViolationDelta delta(&index);
   Table mirror = table;
-  for (int i = 0; i < 12; ++i) {
-    const RowId row = static_cast<RowId>(rng.NextBounded(table.num_rows()));
+  ViolationIndex mirror_index(&mirror, &rules);
+  std::vector<double> weights(rules.size());
+  for (double& w : weights) w = 0.1 + rng.NextDouble();
+  const VoiRanker ranker(&index, &weights);
+  HypotheticalBatch batch(&index);
+  std::size_t probed = 0;
+  for (int i = 0; i < 40; ++i) {
+    // Even iterations write into the appended half of the table.
+    const std::size_t first = i % 2 == 0 ? 10 : 0;
+    const RowId row = static_cast<RowId>(
+        first + rng.NextBounded(table.num_rows() - first));
     const AttrId attr =
         static_cast<AttrId>(rng.NextBounded(table.num_attrs()));
     const ValueId value =
         static_cast<ValueId>(rng.NextBounded(table.DomainSize(attr)));
-    delta.SetCell(row, attr, value);
-    mirror.SetById(row, attr, value);
-  }
-  // Merge a second overlay that also touches appended rows.
-  ViolationDelta other(&index);
-  const RowId appended_row = static_cast<RowId>(table.num_rows() - 1);
-  const ValueId other_value = static_cast<ValueId>(
-      rng.NextBounded(table.DomainSize(3)));
-  other.SetCell(appended_row, 3, other_value);
-  delta.Merge(other);
-  if (other_value != table.id_at(appended_row, 3)) {
-    mirror.SetById(appended_row, 3, other_value);
-  }
+    Update update;
+    update.row = row;
+    update.attr = attr;
+    update.value = value;
+    EXPECT_EQ(ranker.UpdateBenefit(update),
+              oracles::MutateAndRevertBenefit(table, rules, weights, update));
 
-  ViolationIndex rebuilt(&mirror, &rules);
-  for (std::size_t i = 0; i < rules.size(); ++i) {
-    const RuleId rule = static_cast<RuleId>(i);
-    EXPECT_EQ(delta.RuleViolations(rule), rebuilt.RuleViolations(rule));
-    EXPECT_EQ(delta.ViolatingCount(rule), rebuilt.ViolatingCount(rule));
-    EXPECT_EQ(delta.ContextCount(rule), rebuilt.ContextCount(rule));
-    EXPECT_EQ(delta.SatisfyingCount(rule), rebuilt.SatisfyingCount(rule));
+    batch.Stage(attr, value);
+    if (batch.IsNoOp(row)) continue;
+    std::vector<std::int64_t> before(batch.num_affected());
+    for (std::size_t k = 0; k < batch.num_affected(); ++k) {
+      before[k] = mirror_index.RuleViolations(batch.affected_rule(k));
+    }
+    const ValueId old = mirror_index.ApplyCellChange(row, attr, value);
+    for (std::size_t k = 0; k < batch.num_affected(); ++k) {
+      const RuleId rule = batch.affected_rule(k);
+      const HypotheticalBatch::Effect effect = batch.Probe(k, row);
+      EXPECT_EQ(effect.adjustment,
+                mirror_index.RuleViolations(rule) - before[k])
+          << "row " << row << " rule " << rule;
+      EXPECT_EQ(effect.satisfying, mirror_index.SatisfyingCount(rule))
+          << "row " << row << " rule " << rule;
+      ++probed;
+    }
+    mirror_index.ApplyCellChange(row, attr, old);
   }
-  EXPECT_EQ(delta.TotalViolations(), rebuilt.TotalViolations());
-  EXPECT_EQ(delta.DirtyRows(), rebuilt.DirtyRows());
+  EXPECT_GT(probed, 0u);
+  EXPECT_EQ(*mirror.CountDifferingCells(table), 0u);
 }
 
 TEST(StreamingIndexTest, StreamGenChunkingIsContentInvariant) {

@@ -1,13 +1,15 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "core/voi.h"
-#include "workload/registry.h"
 #include "sim/experiment.h"
+#include "support/oracles.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
+#include "workload/registry.h"
 
 namespace gdr {
 namespace {
@@ -78,76 +80,12 @@ double Probability(const Update& u) {
   return 0.1 + 0.8 * u.score;
 }
 
-// The pre-overlay reference semantics: apply the hypothetical to a real
-// index, read the aggregates, revert. Evaluated on private copies so the
-// shared instance stays untouched.
-double LegacyMutateAndRevertBenefit(const Table& table, const RuleSet& rules,
-                                    const std::vector<double>& weights,
-                                    const Update& update) {
-  Table scratch = table;
-  ViolationIndex index(&scratch, &rules);
-  const std::vector<RuleId>& affected = rules.RulesMentioning(update.attr);
-  if (affected.empty()) return 0.0;
-  std::vector<std::int64_t> vio_before(affected.size());
-  for (std::size_t i = 0; i < affected.size(); ++i) {
-    vio_before[i] = index.RuleViolations(affected[i]);
-  }
-  const ValueId old =
-      index.ApplyCellChange(update.row, update.attr, update.value);
-  double benefit = 0.0;
-  for (std::size_t i = 0; i < affected.size(); ++i) {
-    const RuleId rule = affected[i];
-    const std::int64_t satisfying = index.SatisfyingCount(rule);
-    if (satisfying <= 0) continue;
-    const double drop =
-        static_cast<double>(vio_before[i] - index.RuleViolations(rule));
-    benefit += weights[static_cast<std::size_t>(rule)] * drop /
-               static_cast<double>(satisfying);
-  }
-  index.ApplyCellChange(update.row, update.attr, old);
-  return benefit;
-}
-
 class VoiParallelTest : public ::testing::TestWithParam<int> {};
 
-// Differential: the overlay-based benefit is bit-identical to the legacy
-// mutate-and-revert evaluation for every pooled update.
-TEST_P(VoiParallelTest, OverlayBenefitMatchesMutateAndRevert) {
-  RandomVoiInstance inst(static_cast<std::uint64_t>(GetParam()));
-  VoiRanker ranker(inst.index.get(), &inst.weights);
-  for (const UpdateGroup& group : inst.groups) {
-    for (const Update& update : group.updates) {
-      EXPECT_EQ(ranker.UpdateBenefit(update),
-                LegacyMutateAndRevertBenefit(inst.table, inst.rules,
-                                             inst.weights, update));
-    }
-  }
-}
-
-// Differential: the scratch-reusing benefit evaluation (one delta staged
-// and Discard()ed per update — the ranking inner loop) is bit-identical
-// to constructing a fresh delta per update and to the legacy
-// mutate-and-revert layout.
-TEST_P(VoiParallelTest, ScratchReuseMatchesFreshDelta) {
-  RandomVoiInstance inst(static_cast<std::uint64_t>(GetParam()));
-  VoiRanker ranker(inst.index.get(), &inst.weights);
-  ViolationDelta scratch(inst.index.get());
-  for (const UpdateGroup& group : inst.groups) {
-    for (const Update& update : group.updates) {
-      const double reused = ranker.UpdateBenefit(update, &scratch);
-      EXPECT_TRUE(scratch.empty());  // the scratch contract: discarded
-      EXPECT_EQ(reused, ranker.UpdateBenefit(update));
-      EXPECT_EQ(reused, LegacyMutateAndRevertBenefit(inst.table, inst.rules,
-                                                     inst.weights, update));
-    }
-  }
-}
-
 // Differential: parallel scores and the chosen top group are bit-identical
-// to the serial path at 1, 2, 4, and 8 threads (scratch-delta reuse is on
-// everywhere — serial keeps one delta, each pool slot keeps its own), and
-// all of them pin to scores derived from the legacy mutate-and-revert
-// layout.
+// to the serial path at 1, 2, 4, and 8 threads (serial keeps one
+// HypotheticalBatch, each pool slot keeps its own), and all of them pin to
+// scores derived from mutate-and-revert benefits.
 TEST_P(VoiParallelTest, ParallelRankingBitIdenticalToSerial) {
   RandomVoiInstance inst(static_cast<std::uint64_t>(GetParam()));
 
@@ -156,14 +94,14 @@ TEST_P(VoiParallelTest, ParallelRankingBitIdenticalToSerial) {
       serial.Rank(inst.groups, Probability);
   ASSERT_EQ(reference.scores.size(), inst.groups.size());
 
-  // Old-layout oracle: per-group scores accumulated in the same update
-  // order from mutate-and-revert benefits on a rebuilt index.
+  // Reference: per-group scores accumulated in the same update order from
+  // mutate-and-revert benefits on a rebuilt index.
   for (std::size_t i = 0; i < inst.groups.size(); ++i) {
     double expected = 0.0;
     for (const Update& update : inst.groups[i].updates) {
       expected += Probability(update) *
-                  LegacyMutateAndRevertBenefit(inst.table, inst.rules,
-                                               inst.weights, update);
+                  oracles::MutateAndRevertBenefit(inst.table, inst.rules,
+                                                  inst.weights, update);
     }
     EXPECT_EQ(reference.scores[i], expected) << "group " << i;
   }
@@ -218,37 +156,8 @@ TEST(VoiParallelDeterminismTest, ExperimentIdenticalAcrossThreadCounts) {
 
   const ExperimentResult reference = run(1);
   for (std::size_t threads : {2u, 8u}) {
-    const ExperimentResult result = run(threads);
-    const GdrStats& a = reference.stats;
-    const GdrStats& b = result.stats;
-    EXPECT_EQ(a.initial_dirty, b.initial_dirty);
-    EXPECT_EQ(a.user_feedback, b.user_feedback);
-    EXPECT_EQ(a.user_confirms, b.user_confirms);
-    EXPECT_EQ(a.user_rejects, b.user_rejects);
-    EXPECT_EQ(a.user_retains, b.user_retains);
-    EXPECT_EQ(a.user_suggested_values, b.user_suggested_values);
-    EXPECT_EQ(a.learner_decisions, b.learner_decisions);
-    EXPECT_EQ(a.learner_confirms, b.learner_confirms);
-    EXPECT_EQ(a.forced_repairs, b.forced_repairs);
-    EXPECT_EQ(a.outer_iterations, b.outer_iterations);
-
-    EXPECT_EQ(reference.final_loss, result.final_loss);
-    EXPECT_EQ(reference.remaining_violations, result.remaining_violations);
-    EXPECT_EQ(reference.accuracy.updated_cells, result.accuracy.updated_cells);
-    EXPECT_EQ(reference.accuracy.correctly_updated_cells,
-              result.accuracy.correctly_updated_cells);
-    EXPECT_EQ(reference.accuracy.initially_incorrect_cells,
-              result.accuracy.initially_incorrect_cells);
-    EXPECT_EQ(reference.accuracy.Precision(), result.accuracy.Precision());
-    EXPECT_EQ(reference.accuracy.Recall(), result.accuracy.Recall());
-
-    ASSERT_EQ(reference.curve.size(), result.curve.size());
-    for (std::size_t i = 0; i < reference.curve.size(); ++i) {
-      EXPECT_EQ(reference.curve[i].feedback, result.curve[i].feedback);
-      EXPECT_EQ(reference.curve[i].improvement_pct,
-                result.curve[i].improvement_pct);
-      EXPECT_EQ(reference.curve[i].loss, result.curve[i].loss);
-    }
+    oracles::ExpectResultsIdentical(reference, run(threads),
+                                    std::to_string(threads) + " threads");
   }
 }
 

@@ -7,40 +7,17 @@
 // in update generation, grouping, VOI ranking, and learner features agree.
 #include <cstdio>
 #include <filesystem>
-#include <sstream>
+#include <string>
 
 #include <gtest/gtest.h>
 
+#include "plane/sharded_repair.h"
 #include "sim/experiment.h"
 #include "workload/file_workload.h"
 #include "workload/registry.h"
 
 namespace gdr {
 namespace {
-
-// Serializes every deterministic field of an ExperimentResult (timings and
-// wall clock excluded — they are the only run-to-run nondeterminism).
-std::string Fingerprint(const ExperimentResult& result) {
-  std::ostringstream out;
-  out.precision(17);
-  out << result.strategy_name << '|' << result.stats.initial_dirty << '|'
-      << result.stats.user_feedback << '|' << result.stats.user_confirms
-      << '|' << result.stats.user_rejects << '|' << result.stats.user_retains
-      << '|' << result.stats.user_suggested_values << '|'
-      << result.stats.learner_decisions << '|'
-      << result.stats.learner_confirms << '|' << result.stats.forced_repairs
-      << '|' << result.stats.outer_iterations << '|' << result.initial_loss
-      << '|' << result.final_loss << '|' << result.final_improvement_pct
-      << '|' << result.remaining_violations << '|'
-      << result.accuracy.updated_cells << '|'
-      << result.accuracy.correctly_updated_cells << '|'
-      << result.accuracy.initially_incorrect_cells << '\n';
-  for (const CurvePoint& point : result.curve) {
-    out << point.feedback << ',' << point.improvement_pct << ',' << point.loss
-        << ';';
-  }
-  return out.str();
-}
 
 std::string ExperimentFingerprints(const Dataset& dataset) {
   std::string out;
@@ -53,11 +30,15 @@ std::string ExperimentFingerprints(const Dataset& dataset) {
     config.sample_every = 10;
     auto result = RunStrategyExperiment(dataset, config);
     EXPECT_TRUE(result.ok()) << result.status().ToString();
-    if (result.ok()) out += Fingerprint(*result);
+    if (result.ok()) {
+      out += plane::FingerprintExperimentResult(*result) + "\n";
+    }
   }
   auto heuristic = RunHeuristicExperiment(dataset);
   EXPECT_TRUE(heuristic.ok());
-  if (heuristic.ok()) out += Fingerprint(*heuristic);
+  if (heuristic.ok()) {
+    out += plane::FingerprintExperimentResult(*heuristic) + "\n";
+  }
   return out;
 }
 
