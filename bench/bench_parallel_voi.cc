@@ -22,21 +22,26 @@
 //
 // The `learner` section measures p~ with real trained committees: the
 // bank learns from ground-truth oracle feedback over the whole pool, then
-// ConfirmProbability per update and ConfirmProbabilities per group run
-// interleaved within each repeat (same flat forests, same thermal state),
-// plus end-to-end Rank with and without the batch fn at 1..T threads with
-// scores_match/order_match flags. The bank's phase counters
-// (feature-encode / tree-walk seconds) land in the JSON so the learner's
-// share of ranking time is trackable. Exit 2 also covers any batched-vs-
-// scalar probability or ranking divergence; exit 3 fires when the batched
-// learner path loses to the per-update path.
+// ConfirmProbability per update and ConfirmProbabilities per group run as
+// interleaved pairs that alternate which side goes first (same flat
+// forests, same thermal state), plus end-to-end Rank with and without the
+// batch fn at 1..T threads, timed the same way, with
+// scores_match/order_match flags. The learner numbers are medians over
+// the repeats. The bank's phase counters (feature-encode / tree-walk
+// seconds) land in the JSON so the learner's share of ranking time is
+// trackable. Exit 2 also covers any batched-vs-scalar probability or
+// ranking divergence; exit 3 fires when the batched learner path loses to
+// the per-update path (median against median).
 //
 // Flags: --workload=name:key=val,... (default dataset1, parameterized by
 //        the legacy flags below; the first workload is measured)
 //        --records=N (default 20000) --seed=S (default 42)
-//        --repeats=R (default 5, best-of) --threads-max=T (default 8)
+//        --repeats=R (default 5; best-of for the thread table, medians of
+//        interleaved pairs for the learner section) --threads-max=T
+//        (default 8)
 //        --out=PATH (default BENCH_voi.json)
 //        --hotpath-out=PATH (default BENCH_hotpath.json)
+#include <algorithm>
 #include <array>
 #include <cstdio>
 #include <map>
@@ -47,9 +52,9 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "core/gdr.h"
 #include "core/grouping.h"
 #include "core/learner_bank.h"
+#include "core/session.h"
 #include "core/voi.h"
 #include "sim/oracle.h"
 #include "util/stopwatch.h"
@@ -93,6 +98,28 @@ std::size_t BucketOf(std::size_t size) {
   return 5;
 }
 
+// Median of a non-empty sample.
+double Median(std::vector<double> samples) {
+  std::sort(samples.begin(), samples.end());
+  const std::size_t n = samples.size();
+  return n % 2 == 1 ? samples[n / 2]
+                    : (samples[n / 2 - 1] + samples[n / 2]) / 2.0;
+}
+
+// Runs `first` and `second` back to back, `first` leading when
+// `first_leads`: the timed sides of an interleaved pair. Alternating the
+// lead across pairs lets drift and cache warmth fall on both sides alike.
+template <typename First, typename Second>
+void RunPair(bool first_leads, First&& first, Second&& second) {
+  if (first_leads) {
+    first();
+    second();
+  } else {
+    second();
+    first();
+  }
+}
+
 double TimeRank(const VoiRanker& ranker, const std::vector<UpdateGroup>& groups,
                 int repeats, VoiRanker::Ranking* out) {
   double best = -1.0;
@@ -111,7 +138,8 @@ int RunBench(int argc, char** argv) {
       static_cast<std::size_t>(flags.GetInt("records", 20000));
   const std::uint64_t seed =
       static_cast<std::uint64_t>(flags.GetInt("seed", 42));
-  const int repeats = static_cast<int>(flags.GetInt("repeats", 5));
+  const int repeats =
+      std::max(1, static_cast<int>(flags.GetInt("repeats", 5)));
   const std::size_t threads_max =
       static_cast<std::size_t>(flags.GetInt("threads-max", 8));
 
@@ -133,15 +161,17 @@ int RunBench(int argc, char** argv) {
   // the --records/--seed flags play no part in what was measured.
   const std::size_t resolved_rows = dataset.dirty.num_rows();
 
-  // Real engine state: Initialize() detects violations and seeds the pool
-  // exactly as the interactive loop would see it on round one.
+  // Real engine state: Start() detects violations and seeds the pool
+  // exactly as the interactive loop would see it on round one. The session
+  // is only a component bag here: its engine's index, rule weights and
+  // pool.
   Table working = dataset.dirty;
-  UserOracle oracle(&dataset.clean, {});
-  GdrEngine engine(&working, &dataset.rules, &oracle, {});
-  if (Status status = engine.Initialize(); !status.ok()) {
-    std::printf("initialize: %s\n", status.ToString().c_str());
+  GdrSession session(&working, &dataset.rules);
+  if (Status status = session.Start(); !status.ok()) {
+    std::printf("start: %s\n", status.ToString().c_str());
     return 1;
   }
+  const GdrEngine& engine = session.engine();
   const std::vector<UpdateGroup> groups = GroupUpdates(engine.pool());
   std::size_t updates = 0;
   for (const UpdateGroup& group : groups) updates += group.size();
@@ -153,8 +183,11 @@ int RunBench(int argc, char** argv) {
       std::thread::hardware_concurrency());
 
   // Serial reference (one reused HypotheticalBatch — what Rank always does).
+  // One untimed pass first: the first Rank after setup runs cold and would
+  // otherwise set the 1-thread reference the speedups divide by.
   VoiRanker serial(&engine.index(), &engine.rule_weights());
-  VoiRanker::Ranking reference;
+  VoiRanker::Ranking reference =
+      serial.Rank(groups, [](const Update& u) { return u.score; });
   const double serial_seconds = TimeRank(serial, groups, repeats, &reference);
 
   // ---- Single-thread hot-path section (BENCH_hotpath.json) ------------
@@ -230,6 +263,7 @@ int RunBench(int argc, char** argv) {
   // answers every pooled update from ground truth, the bank retrains once
   // per attribute. Attributes below min_training_examples stay on the
   // score fallback — `trained_attrs` records how many actually predict.
+  UserOracle oracle(&dataset.clean, {});
   LearnerBank bank(&working, &engine.index(), {});
   for (const UpdateGroup& group : groups) {
     for (const Update& update : group.updates) {
@@ -250,45 +284,49 @@ int RunBench(int argc, char** argv) {
     if (bank.IsTrained(attr)) ++trained_attrs;
   }
 
-  // p~ over the whole pool, both ways, interleaved within each repeat:
-  // one scalar ConfirmProbability call per update vs one
-  // ConfirmProbabilities matrix call per group (the ranking path). Identical committees, so the probabilities must be
+  // p~ over the whole pool, both ways: one scalar ConfirmProbability call
+  // per update vs one ConfirmProbabilities matrix call per group (the
+  // ranking path). Each repeat walks the groups once and times both sides
+  // on every group as an interleaved pair, so a burst of host noise lands
+  // on both sides alike; the gate compares the medians of the per-repeat
+  // totals. Identical committees, so the probabilities must be
   // bit-identical.
   std::vector<double> per_update_probs(updates, 0.0);
   std::vector<double> batched_probs(updates, 0.0);
-  double per_update_prob_seconds = -1.0;
-  double batched_prob_seconds = -1.0;
   std::vector<double> prob_out;
+  std::vector<double> per_update_prob_samples;
+  std::vector<double> batched_prob_samples;
   for (int r = 0; r < repeats; ++r) {
-    {
-      Stopwatch watch;
-      std::size_t i = 0;
-      for (const UpdateGroup& group : groups) {
-        for (const Update& update : group.updates) {
-          per_update_probs[i++] = bank.ConfirmProbability(update);
-        }
-      }
-      const double seconds = watch.ElapsedSeconds();
-      if (per_update_prob_seconds < 0.0 ||
-          seconds < per_update_prob_seconds) {
-        per_update_prob_seconds = seconds;
-      }
+    double per_update_total = 0.0;
+    double batched_total = 0.0;
+    std::size_t offset = 0;
+    for (std::size_t g = 0; g < groups.size(); ++g) {
+      const std::vector<Update>& group_updates = groups[g].updates;
+      RunPair(
+          (r + g) % 2 == 0,
+          [&] {
+            Stopwatch watch;
+            for (std::size_t i = 0; i < group_updates.size(); ++i) {
+              per_update_probs[offset + i] =
+                  bank.ConfirmProbability(group_updates[i]);
+            }
+            per_update_total += watch.ElapsedSeconds();
+          },
+          [&] {
+            Stopwatch watch;
+            bank.ConfirmProbabilities(std::span<const Update>(group_updates),
+                                      &prob_out);
+            batched_total += watch.ElapsedSeconds();
+            std::copy(prob_out.begin(), prob_out.end(),
+                      batched_probs.begin() + offset);
+          });
+      offset += group_updates.size();
     }
-    {
-      double total = 0.0;
-      std::size_t i = 0;
-      for (const UpdateGroup& group : groups) {
-        Stopwatch watch;
-        bank.ConfirmProbabilities(std::span<const Update>(group.updates),
-                                  &prob_out);
-        total += watch.ElapsedSeconds();
-        for (const double p : prob_out) batched_probs[i++] = p;
-      }
-      if (batched_prob_seconds < 0.0 || total < batched_prob_seconds) {
-        batched_prob_seconds = total;
-      }
-    }
+    per_update_prob_samples.push_back(per_update_total);
+    batched_prob_samples.push_back(batched_total);
   }
+  const double per_update_prob_seconds = Median(per_update_prob_samples);
+  const double batched_prob_seconds = Median(batched_prob_samples);
   const bool learner_scores_match = per_update_probs == batched_probs;
   const double ns_confirm_per_update =
       updates == 0 ? 0.0 : per_update_prob_seconds / updates * 1e9;
@@ -306,8 +344,8 @@ int RunBench(int argc, char** argv) {
 
   // End-to-end Rank with the live learner in the loop, with the batch fn
   // installed and without it (scalar p~ per update), at every thread
-  // count, interleaved within each repeat. Scores AND order must match the
-  // 1-thread scalar reference.
+  // count, as interleaved pairs (medians over the repeats). Scores AND
+  // order must match the 1-thread scalar reference.
   struct LearnerRank {
     std::size_t threads = 1;
     double batched_seconds = 0.0;
@@ -334,29 +372,26 @@ int RunBench(int argc, char** argv) {
                                       pool.get());
     LearnerRank lr;
     lr.threads = threads;
-    lr.batched_seconds = -1.0;
-    lr.per_update_seconds = -1.0;
     VoiRanker::Ranking batched_ranking;
     VoiRanker::Ranking per_update_ranking;
+    std::vector<double> batched_samples;
+    std::vector<double> per_update_samples;
     for (int r = 0; r < repeats; ++r) {
-      {
-        Stopwatch watch;
-        batched_ranking = batched_ranker.Rank(groups, learner_scalar);
-        const double seconds = watch.ElapsedSeconds();
-        if (lr.batched_seconds < 0.0 || seconds < lr.batched_seconds) {
-          lr.batched_seconds = seconds;
-        }
-      }
-      {
-        Stopwatch watch;
-        per_update_ranking = per_update_ranker.Rank(groups, learner_scalar);
-        const double seconds = watch.ElapsedSeconds();
-        if (lr.per_update_seconds < 0.0 ||
-            seconds < lr.per_update_seconds) {
-          lr.per_update_seconds = seconds;
-        }
-      }
+      RunPair(
+          r % 2 == 0,
+          [&] {
+            Stopwatch watch;
+            per_update_ranking = per_update_ranker.Rank(groups, learner_scalar);
+            per_update_samples.push_back(watch.ElapsedSeconds());
+          },
+          [&] {
+            Stopwatch watch;
+            batched_ranking = batched_ranker.Rank(groups, learner_scalar);
+            batched_samples.push_back(watch.ElapsedSeconds());
+          });
     }
+    lr.batched_seconds = Median(batched_samples);
+    lr.per_update_seconds = Median(per_update_samples);
     if (threads == 1) learner_reference = per_update_ranking;
     lr.scores_match = batched_ranking.scores == learner_reference.scores &&
                       per_update_ranking.scores == learner_reference.scores;

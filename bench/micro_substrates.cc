@@ -11,13 +11,12 @@
 #include <unordered_map>
 #include <vector>
 
-#include "core/gdr.h"
 #include "core/grouping.h"
 #include "core/quality.h"
+#include "core/session.h"
 #include "core/voi.h"
 #include "ml/random_forest.h"
 #include "repair/update_generator.h"
-#include "sim/oracle.h"
 #include "sim/stream_gen.h"
 #include "util/flat_table.h"
 #include "util/rng.h"
@@ -369,15 +368,13 @@ BENCHMARK(BM_VoiUpdateBenefit);
 
 // One full group-scoring pass over the engine's real round-one candidate
 // pool — the ranking-layer view of the hot path BM_VoiUpdateBenefit
-// measures per call.
+// measures per call. The started session is only a component bag here:
+// its engine's index, rule weights and pool.
 struct RankFixture {
   explicit RankFixture(const Dataset& dataset)
-      : table(dataset.dirty),
-        oracle(&dataset.clean, {}),
-        engine(&table, &dataset.rules, &oracle, {}) {}
+      : table(dataset.dirty), session(&table, &dataset.rules) {}
   Table table;
-  UserOracle oracle;
-  GdrEngine engine;
+  GdrSession session;
   std::vector<UpdateGroup> groups;
   std::int64_t pooled_updates = 0;
 };
@@ -385,11 +382,11 @@ struct RankFixture {
 RankFixture& SharedRankFixture() {
   static RankFixture* fixture = []() {
     auto* f = new RankFixture(SharedDataset());
-    if (!f->engine.Initialize().ok()) {
-      std::fprintf(stderr, "rank fixture: engine initialize failed\n");
+    if (!f->session.Start().ok()) {
+      std::fprintf(stderr, "rank fixture: session start failed\n");
       std::exit(1);
     }
-    f->groups = GroupUpdates(f->engine.pool());
+    f->groups = GroupUpdates(f->session.engine().pool());
     for (const UpdateGroup& group : f->groups) {
       f->pooled_updates += static_cast<std::int64_t>(group.size());
     }
@@ -400,8 +397,8 @@ RankFixture& SharedRankFixture() {
 
 void BM_ScoreGroupBatched(benchmark::State& state) {
   RankFixture& fixture = SharedRankFixture();
-  const VoiRanker ranker(&fixture.engine.index(),
-                         &fixture.engine.rule_weights());
+  const VoiRanker ranker(&fixture.session.engine().index(),
+                         &fixture.session.engine().rule_weights());
   for (auto _ : state) {
     const VoiRanker::Ranking ranking =
         ranker.Rank(fixture.groups, [](const Update& u) { return u.score; });

@@ -25,12 +25,11 @@
 // unchanged between sittings.
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 
 #include "core/session.h"
+#include "server/session_manager.h"
 #include "util/fileio.h"
 #include "workload/registry.h"
 
@@ -135,33 +134,25 @@ int main(int argc, char** argv) {
   options.max_outer_iterations = 64;
   GdrSession session(&table, &rules, options);
 
-  // Resume from a previous run's snapshot when one exists. The file leads
-  // with a "workload <spec>" header so answers recorded against one
-  // dataset are never replayed onto another.
-  std::ifstream snapshot_file(snapshot_path, std::ios::binary);
-  if (snapshot_file.good() && !fresh) {
-    std::stringstream buffer;
-    buffer << snapshot_file.rdbuf();
-    std::string contents = buffer.str();
-    const std::string header_prefix = "workload ";
-    if (contents.rfind(header_prefix, 0) == 0) {
-      const std::size_t eol = contents.find('\n');
-      const std::string saved_spec =
-          contents.substr(header_prefix.size(),
-                          eol - header_prefix.size());
-      if (saved_spec != workload_spec) {
-        std::fprintf(stderr,
-                     "%s was snapshotted with --workload '%s', not '%s'; "
-                     "relaunch with the original workload or pass --fresh\n",
-                     snapshot_path.c_str(), saved_spec.c_str(),
-                     workload_spec.c_str());
-        return 1;
-      }
-      contents.erase(0, eol == std::string::npos ? contents.size() : eol + 1);
+  // Resume from a previous run's snapshot when one exists. The file is a
+  // spill file (server/session_manager.h): its "workload <spec>" header
+  // keeps answers recorded against one dataset from being replayed onto
+  // another. Files from builds that wrote no header still resume.
+  Result<std::string> saved = Status::NotFound("--fresh");
+  if (!fresh) saved = ReadFileToString(snapshot_path);
+  if (saved.ok()) {
+    const Result<server::SpillFile> spill = server::ParseSpillFile(*saved);
+    if (spill.ok() && spill->workload_spec.has_value() &&
+        *spill->workload_spec != workload_spec) {
+      std::fprintf(stderr,
+                   "%s was snapshotted with --workload '%s', not '%s'; "
+                   "relaunch with the original workload or pass --fresh\n",
+                   snapshot_path.c_str(), spill->workload_spec->c_str(),
+                   workload_spec.c_str());
+      return 1;
     }
-    const auto snapshot = SessionSnapshot::Deserialize(contents);
     const Status restored =
-        snapshot.ok() ? session.Restore(*snapshot) : snapshot.status();
+        spill.ok() ? session.Restore(spill->snapshot) : spill.status();
     if (!restored.ok()) {
       std::fprintf(stderr,
                    "could not resume from %s (%s); pass --fresh to discard\n",
@@ -217,7 +208,7 @@ int main(int argc, char** argv) {
     // intact, never a truncated prefix that fails to deserialize.
     const Status written = WriteFileAtomic(
         snapshot_path,
-        "workload " + workload_spec + '\n' + session.Snapshot().Serialize());
+        server::FormatSpillFile(workload_spec, session.Snapshot()));
     if (!written.ok()) {
       std::fprintf(stderr, "\nfailed to write snapshot to %s (%s) — the "
                    "session could not be saved\n", snapshot_path.c_str(),

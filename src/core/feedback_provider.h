@@ -8,15 +8,13 @@
 
 namespace gdr {
 
-/// The user of the GDR loop, as a synchronous (push-model) callback: the
-/// loop blocks inside GetFeedback until an answer exists. This is the
-/// legacy integration surface, kept for harnesses whose "user" can answer
-/// inline — experiments implement it with a ground-truth oracle
-/// (src/sim/oracle.h), and `GdrEngine::Run()` / `PumpSession()` pump a
-/// pull-based GdrSession through it. Production deployments, where
-/// feedback arrives asynchronously (a UI, a review queue, a network),
-/// should drive `GdrSession` (core/session.h) directly instead of
-/// implementing this interface.
+/// A user of the GDR loop who answers inline: `PumpSession()`
+/// (core/session.h) blocks inside GetFeedback until an answer exists,
+/// then pushes it into the GdrSession it drives. Harnesses implement it —
+/// experiments with a ground-truth oracle (src/sim/oracle.h), the
+/// quickstart with a scripted user. Deployments where feedback arrives
+/// asynchronously (a UI, a review queue, a network) drive the session's
+/// NextBatch()/SubmitFeedback() directly instead.
 class FeedbackProvider {
  public:
   virtual ~FeedbackProvider() = default;

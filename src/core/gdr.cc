@@ -5,7 +5,6 @@
 #include <optional>
 
 #include "core/quality.h"
-#include "core/session.h"
 #include "util/stopwatch.h"
 
 namespace gdr {
@@ -46,16 +45,12 @@ Result<Strategy> StrategyFromName(std::string_view name) {
                                  "' (expected one of: " + known + ")");
 }
 
-GdrEngine::GdrEngine(Table* table, const RuleSet* rules,
-                     FeedbackProvider* user, GdrOptions options)
-    : table_(table), rules_(rules), user_(user), options_(options) {
+GdrEngine::GdrEngine(Table* table, const RuleSet* rules, GdrOptions options)
+    : table_(table), rules_(rules), options_(options) {
   rng_.Seed(options_.seed);
 }
 
-Status GdrEngine::Initialize() {
-  if (initialized_) {
-    return Status::FailedPrecondition("engine already initialized");
-  }
+void GdrEngine::Initialize() {
   const Stopwatch init_watch;
   index_ = std::make_unique<ViolationIndex>(table_, rules_);
   pool_ = std::make_unique<UpdatePool>();
@@ -86,8 +81,6 @@ Status GdrEngine::Initialize() {
   stats_ = GdrStats{};
   stats_.initial_dirty = manager_->Initialize();
   stats_.timings.init_seconds = init_watch.ElapsedSeconds();
-  initialized_ = true;
-  return Status::OK();
 }
 
 void GdrEngine::SyncPerfTimings() {
@@ -104,9 +97,6 @@ void GdrEngine::SyncPerfTimings() {
 
 Result<GdrEngine::AppendOutcome> GdrEngine::AppendDirtyRows(
     const std::vector<std::vector<std::string>>& rows) {
-  if (!initialized_) {
-    return Status::FailedPrecondition("call Initialize() first");
-  }
   AppendOutcome outcome;
   if (rows.empty()) return outcome;
   GDR_ASSIGN_OR_RETURN(outcome.first_row, index_->AppendRows(rows));
@@ -233,8 +223,7 @@ void GdrEngine::OrderForSession(std::vector<Update>* updates) {
 
 Status GdrEngine::ApplyUserFeedback(
     const Update& update, Feedback feedback,
-    const std::optional<std::string>& volunteered,
-    const ProgressCallback& callback) {
+    const std::optional<std::string>& volunteered) {
   // The session displays the learner's prediction next to each update
   // (Section 4.2); comparing it with the user's actual answer is how the
   // engine measures whether the user could safely delegate to the model.
@@ -283,82 +272,49 @@ Status GdrEngine::ApplyUserFeedback(
   for (const AppliedChange& change : changes) {
     if (change.forced) ++stats_.forced_repairs;
   }
-  if (callback) callback(*this, stats_.user_feedback);
   return Status::OK();
 }
 
-Status GdrEngine::ApplyLearnerDecision(const Update& update,
-                                       Feedback feedback) {
+bool GdrEngine::DelegateToLearner(const Update& update) {
+  // Re-validate: an earlier decision may have retired or replaced this
+  // suggestion via the consistency manager.
+  if (!pool_->IsLive(update)) return false;
+  if (bank_->Uncertainty(update) > options_.learner_max_uncertainty) {
+    return false;
+  }
+  const Feedback predicted = bank_->PredictFeedback(update);
+  if (!bank_->IsReliable(update.attr, predicted,
+                         options_.learner_min_accuracy)) {
+    return false;
+  }
   ++stats_.learner_decisions;
-  if (feedback == Feedback::kConfirm) ++stats_.learner_confirms;
-  std::vector<AppliedChange> changes =
-      manager_->ApplyFeedback(update, feedback);
-  for (const AppliedChange& change : changes) {
+  if (predicted == Feedback::kConfirm) ++stats_.learner_confirms;
+  for (const AppliedChange& change :
+       manager_->ApplyFeedback(update, predicted)) {
     if (change.forced) ++stats_.forced_repairs;
   }
-  return Status::OK();
+  return true;
 }
 
-Status GdrEngine::TakeOverGroup(const UpdateGroup& group,
-                                const ProgressCallback& callback) {
+bool GdrEngine::TakeOverGroup(const UpdateGroup& group) {
   // The user is "satisfied with the learner predictions": the learned
   // model decides the group's remaining updates (Section 4.2) — but only
   // predictions of classes whose recent accuracy earned the delegation.
-  if (!UsesLearner() || !bank_->IsTrained(group.attr)) return Status::OK();
-  for (const Update& u : LiveGroupUpdates(group)) {
-    // Re-validate: an earlier decision in this loop may have retired or
-    // replaced later suggestions via the consistency manager.
-    if (!pool_->IsLive(u)) continue;
-    if (bank_->Uncertainty(u) > options_.learner_max_uncertainty) continue;
-    const Feedback predicted = bank_->PredictFeedback(u);
-    if (!bank_->IsReliable(u.attr, predicted, options_.learner_min_accuracy)) {
-      continue;
-    }
-    GDR_RETURN_NOT_OK(ApplyLearnerDecision(u, predicted));
-  }
-  if (callback) callback(*this, stats_.user_feedback);
-  return Status::OK();
+  if (!UsesLearner() || !bank_->IsTrained(group.attr)) return false;
+  for (const Update& u : LiveGroupUpdates(group)) DelegateToLearner(u);
+  return true;
 }
 
-Status GdrEngine::LearnerSweep(const ProgressCallback& callback) {
+void GdrEngine::LearnerSweep() {
   const Stopwatch sweep_watch;
   for (int pass = 0; pass < options_.learner_sweep_passes; ++pass) {
     std::size_t decided = 0;
     for (const Update& u : pool_->All()) {
-      if (!bank_->IsTrained(u.attr)) continue;
-      if (!pool_->IsLive(u)) continue;
-      if (bank_->Uncertainty(u) > options_.learner_max_uncertainty) continue;
-      const Feedback predicted = bank_->PredictFeedback(u);
-      if (!bank_->IsReliable(u.attr, predicted,
-                             options_.learner_min_accuracy)) {
-        continue;
-      }
-      GDR_RETURN_NOT_OK(ApplyLearnerDecision(u, predicted));
-      ++decided;
+      if (bank_->IsTrained(u.attr) && DelegateToLearner(u)) ++decided;
     }
     if (decided == 0) break;
   }
   stats_.timings.learner_sweep_seconds += sweep_watch.ElapsedSeconds();
-  if (callback) callback(*this, stats_.user_feedback);
-  return Status::OK();
-}
-
-Status GdrEngine::Run(const ProgressCallback& callback) {
-  // Compatibility shim: the loop itself lives in GdrSession; this entry
-  // point pumps one against the blocking FeedbackProvider, which restores
-  // the paper's Procedure 1 call shape (and is bit-identical to it).
-  if (!initialized_) {
-    return Status::FailedPrecondition("call Initialize() first");
-  }
-  if (user_ == nullptr) {
-    return Status::FailedPrecondition(
-        "engine has no FeedbackProvider; construct a GdrSession over it "
-        "and drive the session directly");
-  }
-  GdrSession session(this);
-  session.SetProgressCallback(callback);
-  GDR_RETURN_NOT_OK(session.Start());
-  return PumpSession(&session, user_);
 }
 
 }  // namespace gdr

@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "cfd/violation_index.h"
-#include "core/feedback_provider.h"
 #include "core/grouping.h"
 #include "core/learner_bank.h"
 #include "core/voi.h"
@@ -149,72 +148,31 @@ class GdrSession;
 
 /// The GDR framework of Figure 2: the component container (violation
 /// index, update pool, consistency manager, learner bank, VOI ranker) plus
-/// the per-strategy *step functions* of Procedure 1. The interactive loop
-/// itself lives in GdrSession (core/session.h), which sequences these
-/// steps between feedback pulls; `Run()` survives as a compatibility shim
-/// that pumps a session with a blocking FeedbackProvider.
+/// the per-strategy *step functions* of Procedure 1. An engine is built,
+/// initialized and driven only by the GdrSession that owns it
+/// (core/session.h): the session holds the loop position and sequences
+/// these steps between feedback pulls. Callers reach the engine through
+/// `session.engine()` for its read-only components:
 ///
-/// Legacy (push) use:
-///   GdrEngine engine(&table, &rules, &user, options);
-///   GDR_RETURN_NOT_OK(engine.Initialize());
-///   GDR_RETURN_NOT_OK(engine.Run(callback));
-///
-/// Pull use (production shape — see core/session.h):
 ///   GdrSession session(&table, &rules, options);
 ///   GDR_RETURN_NOT_OK(session.Start());
-///   while (session.state() != SessionState::kDone) { ... NextBatch ... }
+///   GDR_RETURN_NOT_OK(PumpSession(&session, &user));  // or pull by hand
+///   const ViolationIndex& index = session.engine().index();
 ///
 /// The table is repaired in place. The engine never reads ground truth;
 /// experiment metrics are computed by the caller against engine.index().
 class GdrEngine {
  public:
-  /// All pointers are non-owning and must outlive the engine. `table` is
-  /// the dirty instance to repair. `user` may be nullptr when the engine
-  /// is driven through a GdrSession (only the Run() shim needs it).
-  GdrEngine(Table* table, const RuleSet* rules, FeedbackProvider* user,
-            GdrOptions options = {});
-
   GdrEngine(const GdrEngine&) = delete;
   GdrEngine& operator=(const GdrEngine&) = delete;
 
-  /// Step 1–2 of Procedure 1: detects dirty tuples, seeds the candidate
-  /// pool, fixes the rule weights w_i = |D(φ_i)|/|D| on the initial
-  /// instance.
-  Status Initialize();
-
-  /// Outcome of one streaming admission (AppendDirtyRows).
-  struct AppendOutcome {
-    RowId first_row = -1;        // first id of the appended batch
-    std::size_t rows = 0;        // rows appended (== batch size)
-    std::size_t newly_dirty = 0;  // rows that entered the dirty set
-  };
-
-  /// Streaming ingestion: appends `rows` to the live instance (incremental
-  /// index maintenance via ViolationIndex::AppendRows, all-or-nothing),
-  /// admits the resulting violations into the update pool
-  /// (ConsistencyManager::AdmitRows), and refreshes the rule weights
-  /// w_i = |D(φ_i)|/|D| for the grown instance. Requires Initialize().
-  /// Rows violating no rule are appended but admit nothing. Deterministic:
-  /// the same engine history plus the same appends yields a bit-identical
-  /// engine, which is what lets GdrSession record appends in its event log.
-  Result<AppendOutcome> AppendDirtyRows(
-      const std::vector<std::vector<std::string>>& rows);
-
-  /// Invoked after every user label and after every learner batch, with
-  /// the engine in a consistent state; `user_feedback` is the labels spent
-  /// so far. Used by harnesses to record quality curves.
+  /// Called by the owning session after every applied user label, after
+  /// every learner take-over that consulted a trained model, and after
+  /// every budget-exhaustion sweep, with the engine in a consistent state;
+  /// `user_feedback` is the labels spent so far. Used by harnesses to
+  /// record quality curves (GdrSession::SetProgressCallback).
   using ProgressCallback =
       std::function<void(const GdrEngine& engine, std::size_t user_feedback)>;
-
-  /// Steps 3–10 of Procedure 1: the interactive loop, as a compatibility
-  /// shim. Constructs a GdrSession over this engine and pumps it against
-  /// the FeedbackProvider passed at construction (which must be non-null
-  /// for this entry point). Behavior, stats, and repairs are bit-identical
-  /// to driving the session by hand with the same answers. Terminates when
-  /// the database is clean, the candidate pool is exhausted, the feedback
-  /// budget is spent (after the final learner sweep, for learning
-  /// strategies), or an iteration makes no progress.
-  Status Run(const ProgressCallback& callback = nullptr);
 
   const Table& table() const { return *table_; }
   const ViolationIndex& index() const { return *index_; }
@@ -230,6 +188,33 @@ class GdrEngine {
   // state-free per-strategy step functions below, each resumable at any
   // point because all of its inputs are engine components.
   friend class GdrSession;
+
+  // `table` (the dirty instance, repaired in place) and `rules` are
+  // non-owning and must outlive the engine.
+  GdrEngine(Table* table, const RuleSet* rules, GdrOptions options);
+
+  // Step 1–2 of Procedure 1: detects dirty tuples, seeds the candidate
+  // pool, fixes the rule weights w_i = |D(φ_i)|/|D| on the initial
+  // instance. Called once, by GdrSession::Start().
+  void Initialize();
+
+  // Outcome of one streaming admission (AppendDirtyRows).
+  struct AppendOutcome {
+    RowId first_row = -1;        // first id of the appended batch
+    std::size_t rows = 0;        // rows appended (== batch size)
+    std::size_t newly_dirty = 0;  // rows that entered the dirty set
+  };
+
+  // Streaming ingestion: appends `rows` to the live instance (incremental
+  // index maintenance via ViolationIndex::AppendRows, all-or-nothing),
+  // admits the resulting violations into the update pool
+  // (ConsistencyManager::AdmitRows), and refreshes the rule weights
+  // w_i = |D(φ_i)|/|D| for the grown instance. Rows violating no rule are
+  // appended but admit nothing. Deterministic: the same engine history
+  // plus the same appends yields a bit-identical engine, which is what
+  // lets GdrSession record appends in its event log.
+  Result<AppendOutcome> AppendDirtyRows(
+      const std::vector<std::vector<std::string>>& rows);
 
   bool UsesLearner() const {
     return options_.strategy == Strategy::kGdr ||
@@ -255,21 +240,25 @@ class GdrEngine {
   // (learning strategies), applies the feedback through the consistency
   // manager, and applies a volunteered correct value (reject only).
   Status ApplyUserFeedback(const Update& update, Feedback feedback,
-                           const std::optional<std::string>& volunteered,
-                           const ProgressCallback& callback);
+                           const std::optional<std::string>& volunteered);
 
   // Learner take-over of one group (Section 4.2's "user is satisfied with
-  // the learner predictions"): the trained, reliable, confident model
-  // decides the group's remaining pooled updates.
-  Status TakeOverGroup(const UpdateGroup& group,
-                       const ProgressCallback& callback);
+  // the learner predictions"): the trained model decides the group's
+  // remaining pooled updates it is confident and reliable on. Returns
+  // false, deciding nothing, when the strategy has no learner or the
+  // group's attribute has no trained model.
+  bool TakeOverGroup(const UpdateGroup& group);
 
   // Applies learner predictions to every pooled update with a trained
   // model (budget-exhaustion sweep).
-  Status LearnerSweep(const ProgressCallback& callback);
+  void LearnerSweep();
 
-  // Applies one learner decision (no training-set growth).
-  Status ApplyLearnerDecision(const Update& update, Feedback feedback);
+  // The delegation check shared by take-over and sweep: when `update` is
+  // still pooled, the committee's uncertainty is at most
+  // learner_max_uncertainty and the predicted class's recent accuracy
+  // earned the delegation, applies the prediction (no training-set
+  // growth). Returns whether a decision was applied.
+  bool DelegateToLearner(const Update& update);
 
   // Orders `updates` for user inspection per strategy (in place).
   void OrderForSession(std::vector<Update>* updates);
@@ -284,7 +273,6 @@ class GdrEngine {
 
   Table* table_;
   const RuleSet* rules_;
-  FeedbackProvider* user_;
   GdrOptions options_;
 
   std::unique_ptr<ViolationIndex> index_;
@@ -298,7 +286,6 @@ class GdrEngine {
   std::vector<double> weights_;
   mutable Rng rng_{0};
   GdrStats stats_;
-  bool initialized_ = false;
 };
 
 }  // namespace gdr

@@ -199,19 +199,21 @@ Result<SessionSnapshot> SessionSnapshot::Deserialize(std::string_view text) {
 // GdrSession
 // ---------------------------------------------------------------------------
 
+// GdrEngine's constructor is private to its friend GdrSession, so the
+// engine is allocated here rather than through std::make_unique.
 GdrSession::GdrSession(Table* table, const RuleSet* rules, GdrOptions options)
-    : engine_(nullptr) {
-  owned_engine_ =
-      std::make_unique<GdrEngine>(table, rules, nullptr, std::move(options));
-  engine_ = owned_engine_.get();
-}
-
-GdrSession::GdrSession(GdrEngine* engine) : engine_(engine) {}
+    : engine_(new GdrEngine(table, rules, std::move(options))) {}
 
 GdrSession::~GdrSession() = default;
 
 void GdrSession::SetProgressCallback(GdrEngine::ProgressCallback callback) {
   callback_ = std::move(callback);
+}
+
+void GdrSession::NotifyProgress() const {
+  if (callback_ && !replaying_) {
+    callback_(*engine_, engine_->stats_.user_feedback);
+  }
 }
 
 bool GdrSession::RanksByVoi() const {
@@ -224,9 +226,7 @@ Status GdrSession::Start() {
   if (phase_ != Phase::kNotStarted) {
     return Status::FailedPrecondition("session already started");
   }
-  if (!engine_->initialized_) {
-    GDR_RETURN_NOT_OK(engine_->Initialize());
-  }
+  engine_->Initialize();
   iterations_ = 0;
   phase_ = engine_->options_.strategy == Strategy::kActiveLearning
                ? Phase::kAlRoundStart
@@ -272,15 +272,15 @@ Result<FeedbackOutcome> GdrSession::SubmitFeedback(
   FeedbackOutcome outcome;
   if (!engine_->pool_->IsLive(entry->suggestion.update)) {
     // Retired or replaced by a cascade from an earlier answer in this
-    // batch: the legacy loop skipped these without consuming feedback.
+    // batch: nothing is consumed (PumpSession never asks about these).
     outcome = FeedbackOutcome::kStale;
   } else {
     const Status applied = engine_->ApplyUserFeedback(
-        entry->suggestion.update, feedback, suggested_value,
-        replaying_ ? GdrEngine::ProgressCallback() : callback_);
+        entry->suggestion.update, feedback, suggested_value);
     // On failure the entry stays unresolved and unlogged: the submission
     // is retryable and a snapshot never records a half-applied answer.
     if (!applied.ok()) return applied;
+    NotifyProgress();
     if (engine_->options_.strategy == Strategy::kActiveLearning) {
       ++labeled_in_round_;
       touched_attrs_.push_back(entry->suggestion.update.attr);
@@ -470,7 +470,7 @@ Status GdrSession::Advance(std::vector<SuggestedUpdate>* batch) {
         GDR_RETURN_NOT_OK(StepRoundEnd());
         break;
       case Phase::kTakeOver:
-        GDR_RETURN_NOT_OK(StepTakeOver());
+        StepTakeOver();
         break;
       case Phase::kAlRoundStart:
         GDR_RETURN_NOT_OK(StepAlRoundStart(batch));
@@ -483,7 +483,7 @@ Status GdrSession::Advance(std::vector<SuggestedUpdate>* batch) {
         GDR_RETURN_NOT_OK(StepAlRoundEnd());
         break;
       case Phase::kFinalSweep:
-        GDR_RETURN_NOT_OK(StepFinalSweep());
+        StepFinalSweep();
         return Status::OK();
       case Phase::kDone:
         return Status::OK();
@@ -573,13 +573,10 @@ Status GdrSession::StepRoundEnd() {
   return status;
 }
 
-Status GdrSession::StepTakeOver() {
+void GdrSession::StepTakeOver() {
   GdrEngine& engine = *engine_;
   const ScopedTimer timer(&engine.stats_.timings.session_seconds);
-  const Status status =
-      engine.TakeOverGroup(groups_[picked_group_],
-                           replaying_ ? GdrEngine::ProgressCallback()
-                                      : callback_);
+  if (engine.TakeOverGroup(groups_[picked_group_])) NotifyProgress();
   // Iteration epilogue: a group session that produced neither user
   // feedback nor learner decisions cannot make progress (every suggestion
   // went stale); terminate rather than loop. A mid-iteration admission
@@ -591,7 +588,6 @@ Status GdrSession::StepTakeOver() {
   } else {
     phase_ = Phase::kIterationStart;
   }
-  return status;
 }
 
 Status GdrSession::StepAlRoundStart(std::vector<SuggestedUpdate>* batch) {
@@ -630,7 +626,7 @@ Status GdrSession::StepAlRoundEnd() {
   // away from it (pulled again without answering) — it must be
   // re-presented, not treated as the all-stale termination signal. A
   // pumped session never leaves live suggestions unresolved, so this
-  // branch cannot affect the Run() shim.
+  // branch cannot affect PumpSession.
   bool abandoned_live = false;
   for (const OutstandingEntry& entry : outstanding_) {
     if (!entry.resolved && engine.pool_->IsLive(entry.suggestion.update)) {
@@ -664,21 +660,19 @@ Status GdrSession::StepAlRoundEnd() {
   return Status::OK();
 }
 
-Status GdrSession::StepFinalSweep() {
+void GdrSession::StepFinalSweep() {
   GdrEngine& engine = *engine_;
   // Active-Learning always ends with a sweep; grouped learning strategies
   // sweep only when the loop ended because the user budget ran out.
   const bool sweeps =
       engine.options_.strategy == Strategy::kActiveLearning ||
       (engine.UsesLearner() && !engine.UserBudgetLeft());
-  Status status = Status::OK();
   if (sweeps) {
-    status = engine.LearnerSweep(replaying_ ? GdrEngine::ProgressCallback()
-                                            : callback_);
+    engine.LearnerSweep();
+    NotifyProgress();
   }
   phase_ = Phase::kDone;
   state_ = SessionState::kDone;
-  return status;
 }
 
 void GdrSession::DeliverBatch(const std::vector<Update>& live,
@@ -752,16 +746,11 @@ Status GdrSession::Restore(const SessionSnapshot& snapshot) {
   // reset the loop to not-started — the session stays fully usable (a
   // subsequent Start() runs it as if the restore was never attempted).
   Table* table = engine_->table_;
-  const RuleSet* rules = engine_->rules_;
-  FeedbackProvider* user = engine_->user_;
-  const GdrOptions saved_options = engine_->options_;
   Table pristine = *table;
   const Status replayed = ReplaySnapshot(snapshot);
   if (!replayed.ok()) {
     *table = std::move(pristine);
-    owned_engine_ =
-        std::make_unique<GdrEngine>(table, rules, user, saved_options);
-    engine_ = owned_engine_.get();
+    engine_.reset(new GdrEngine(table, engine_->rules_, engine_->options_));
     ResetToNotStarted();
   }
   return replayed;
@@ -769,13 +758,6 @@ Status GdrSession::Restore(const SessionSnapshot& snapshot) {
 
 Status GdrSession::ReplaySnapshot(const SessionSnapshot& snapshot) {
   GDR_RETURN_NOT_OK(Start());
-  const GdrStats& stats = engine_->stats_;
-  if (stats.user_feedback != 0 || stats.learner_decisions != 0 ||
-      stats.outer_iterations != 0 || stats.forced_repairs != 0) {
-    return Status::FailedPrecondition(
-        "Restore() requires a pristine engine over the original dirty "
-        "table");
-  }
   replaying_ = true;
   Status status = Status::OK();
   for (const SessionSnapshot::Event& event : snapshot.events) {

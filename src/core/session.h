@@ -8,6 +8,7 @@
 #include <string_view>
 #include <vector>
 
+#include "core/feedback_provider.h"
 #include "core/gdr.h"
 #include "util/result.h"
 
@@ -36,8 +37,8 @@ enum class FeedbackOutcome {
   kApplied,
   /// The suggestion was retired or replaced (by a consistency cascade from
   /// an earlier answer) between delivery and submission. Nothing was
-  /// consumed — in particular no budget — matching the legacy loop, which
-  /// skipped stale suggestions without consulting the user.
+  /// consumed — in particular no budget — just as PumpSession never asks
+  /// the user about a suggestion that is no longer live.
   kStale,
   /// This update_id was already resolved; the call was a no-op.
   kDuplicate,
@@ -144,16 +145,16 @@ struct SessionAppendOutcome {
   bool revived = false;
 };
 
-/// The pull-based interactive loop of Procedure 1, inverted: instead of
-/// GdrEngine::Run() owning the loop and calling *out* to a blocking
-/// FeedbackProvider, the caller pulls the next batch of machine-ranked
-/// suggestions and pushes feedback whenever it arrives — per update, in
-/// any order, at any later time. All machine steps (retrain, reorder,
-/// learner take-over, consistency cascades, group transitions, the final
-/// learner sweep) run inside NextBatch()/SubmitFeedback(); between calls
-/// the session holds an explicit loop position, so one process can
-/// multiplex many sessions and a snapshot can move a session across
-/// process restarts.
+/// The interactive loop of Procedure 1, pull-shaped: the caller pulls the
+/// next batch of machine-ranked suggestions and pushes feedback whenever
+/// it arrives — per update, in any order, at any later time. All machine
+/// steps (retrain, reorder, learner take-over, consistency cascades,
+/// group transitions, the final learner sweep) run inside
+/// NextBatch()/SubmitFeedback(); between calls the session holds an
+/// explicit loop position, so one process can multiplex many sessions and
+/// a snapshot can move a session across process restarts. The session
+/// owns its GdrEngine; this is the one way to build and drive a repair
+/// loop.
 ///
 ///   GdrSession session(&table, &rules, options);
 ///   GDR_RETURN_NOT_OK(session.Start());
@@ -166,27 +167,24 @@ struct SessionAppendOutcome {
 ///     }
 ///   }
 ///
-/// Pumping a session with a FeedbackProvider (PumpSession below) is
-/// bit-identical to the legacy GdrEngine::Run() — same stats, same
-/// repairs, every seed, every strategy, every thread count.
+/// When the "user" can answer inline (a simulated oracle, a scripted
+/// demo), PumpSession below is that loop with a blocking
+/// FeedbackProvider; it is bit-identical to pumping by hand — same stats,
+/// same repairs, every seed, every strategy, every thread count.
 class GdrSession {
  public:
-  /// Owns its engine: `table` and `rules` are non-owning and must outlive
-  /// the session; the table is repaired in place.
+  /// `table` and `rules` are non-owning and must outlive the session; the
+  /// table is repaired in place.
   GdrSession(Table* table, const RuleSet* rules, GdrOptions options = {});
-
-  /// Wraps an existing engine (non-owning; must outlive the session).
-  /// Used by the Run() shim; also lets harnesses inspect engine internals
-  /// while driving the session.
-  explicit GdrSession(GdrEngine* engine);
 
   ~GdrSession();
 
   GdrSession(const GdrSession&) = delete;
   GdrSession& operator=(const GdrSession&) = delete;
 
-  /// Initializes the engine if needed and arms the loop. Must be called
-  /// (once) before NextBatch(); Restore() calls it internally.
+  /// Initializes the engine (Steps 1–2 of Procedure 1) and arms the loop.
+  /// Must be called (once) before NextBatch(); Restore() calls it
+  /// internally.
   Status Start();
 
   SessionState state() const { return state_; }
@@ -234,10 +232,10 @@ class GdrSession {
   /// this is where a resumed UI picks up mid-batch.
   std::vector<SuggestedUpdate> Outstanding() const;
 
-  /// Invoked after every applied label and after every learner batch, with
-  /// the engine in a consistent state — the same hook Run() exposes.
-  /// Suppressed while Restore() replays history (the events already fired
-  /// in the original session).
+  /// Invoked after every applied label, after every learner take-over that
+  /// consulted a trained model, and after every budget-exhaustion sweep,
+  /// with the engine in a consistent state. Suppressed while Restore()
+  /// replays history (the events already fired in the original session).
   void SetProgressCallback(GdrEngine::ProgressCallback callback);
 
   const GdrEngine& engine() const { return *engine_; }
@@ -250,20 +248,18 @@ class GdrSession {
 
   /// Rebuilds the loop position recorded in `snapshot` by replaying its
   /// events. Requirements: the session has not been started (Restore
-  /// starts it), the engine is pristine (freshly constructed over the
-  /// *original dirty table* — replay re-applies every repair), and the
-  /// session's strategy/seed/ns/feedback_budget match the snapshot's.
+  /// starts it), its table is the *original dirty table* (replay re-applies
+  /// every repair), and the session's strategy/seed/ns/feedback_budget
+  /// match the snapshot's.
   /// After a successful restore the session continues exactly where the
   /// snapshotted one stood: same pool, learner bank, RNG streams, stats,
   /// outstanding batch, and update-id sequence.
   ///
-  /// A failed restore (corrupted snapshot, diverging replay, non-pristine
-  /// engine) is fully rolled back: the table is returned to its pre-call
-  /// contents, the engine is rebuilt pristine over it, and the session is
-  /// reset to not-started — Start() afterwards runs it exactly like a
-  /// fresh session. For sessions wrapping an external engine, the rollback
-  /// re-owns a *new* engine; the caller's original engine object is
-  /// abandoned mid-replay and must not be reused.
+  /// A failed restore (corrupted snapshot, diverging replay) is fully
+  /// rolled back: the table is returned to its pre-call contents, the
+  /// engine is rebuilt fresh over it, and the session is reset to
+  /// not-started — Start() afterwards runs it exactly like a fresh
+  /// session.
   Status Restore(const SessionSnapshot& snapshot);
 
  private:
@@ -296,14 +292,15 @@ class GdrSession {
   // Runs machine steps until a batch is delivered (returned in `batch`)
   // or the loop completes (empty `batch`, state kDone).
   Status Advance(std::vector<SuggestedUpdate>* batch);
-  // One phase step each; return the next phase via phase_.
+  // One phase step each; return the next phase via phase_. Take-over and
+  // the final sweep apply learner decisions only and cannot fail.
   Status StepIterationStart();
   Status StepRoundStart(std::vector<SuggestedUpdate>* batch);
   Status StepRoundEnd();
-  Status StepTakeOver();
+  void StepTakeOver();
   Status StepAlRoundStart(std::vector<SuggestedUpdate>* batch);
   Status StepAlRoundEnd();
-  Status StepFinalSweep();
+  void StepFinalSweep();
 
   // Packages live[0..count) as the outstanding batch.
   void DeliverBatch(const std::vector<Update>& live, std::size_t count,
@@ -312,19 +309,20 @@ class GdrSession {
 
   bool RanksByVoi() const;
 
+  // Fires the progress callback, except during replay.
+  void NotifyProgress() const;
+
   // Splices an admission into the live grouped-iteration state: regroups
   // the pool, carries unchanged groups' scores over, scores minted/changed
   // groups, and remaps picked_group_. Returns the number of groups scored.
   std::size_t MergeAdmittedGroups();
 
-  // The fallible middle of Restore(): Start + pristine check + event
-  // replay. Restore() wraps it with the all-or-nothing rollback.
+  // The fallible middle of Restore(): Start + event replay. Restore() wraps it with the all-or-nothing rollback.
   Status ReplaySnapshot(const SessionSnapshot& snapshot);
   // Returns every loop member to its freshly-constructed value.
   void ResetToNotStarted();
 
-  GdrEngine* engine_;                     // the components + step functions
-  std::unique_ptr<GdrEngine> owned_engine_;  // set by the owning ctor
+  std::unique_ptr<GdrEngine> engine_;  // the components + step functions
   GdrEngine::ProgressCallback callback_;
 
   SessionState state_ = SessionState::kRanking;
@@ -359,11 +357,13 @@ class GdrSession {
   bool replaying_ = false;
 };
 
-/// Drives `session` to completion with a blocking FeedbackProvider: pull a
-/// batch, ask `user` about each still-live suggestion (collecting a
-/// volunteered value after a reject), push the answer, repeat until done.
-/// This is the whole legacy loop — GdrEngine::Run() is this function plus
-/// a session constructed over the engine.
+/// The blocking driver over a started session: pull a batch, ask `user`
+/// about each still-live suggestion (collecting a volunteered value after
+/// a reject), push the answer, repeat until done. Returns InvalidArgument
+/// when `user` is null. Terminates when the database is clean, the
+/// candidate pool is exhausted, the feedback budget is spent (after the
+/// final learner sweep, for learning strategies), or an iteration makes
+/// no progress.
 Status PumpSession(GdrSession* session, FeedbackProvider* user);
 
 }  // namespace gdr

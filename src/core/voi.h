@@ -86,8 +86,8 @@ class VoiRanker {
     std::vector<double> scores;      // aligned with `groups`
 
     /// Score of group `i`, or 0.0 when out of range — e.g. an empty
-    /// ranking produced by a strategy that does not rank by VOI. Both the
-    /// Run() shim and GdrSession read per-group scores through this.
+    /// ranking produced by a strategy that does not rank by VOI. GdrSession
+    /// reads per-group scores through this.
     double ScoreOf(std::size_t i) const {
       return i < scores.size() ? scores[i] : 0.0;
     }

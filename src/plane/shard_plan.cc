@@ -32,16 +32,6 @@ std::size_t ShardPlan::OwnerOf(std::size_t global_row) const {
   return extra + (global_row - fat_rows) / base;
 }
 
-std::vector<std::vector<std::vector<std::string>>> ShardPlan::RouteAppends(
-    const std::vector<std::vector<std::string>>& rows,
-    std::size_t appends_so_far) const {
-  std::vector<std::vector<std::vector<std::string>>> routed(ranges_.size());
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    routed[OwnerOfAppend(appends_so_far + i)].push_back(rows[i]);
-  }
-  return routed;
-}
-
 Result<Dataset> MakeShardDataset(const Dataset& full, const ShardRange& range,
                                  std::string_view name) {
   if (full.clean.num_rows() != full.dirty.num_rows()) {

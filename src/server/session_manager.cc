@@ -11,9 +11,7 @@ namespace gdr::server {
 
 namespace {
 
-// The spill-file header, shared with examples/interactive_repl.cpp: the
-// snapshot is only replayable over the workload it was recorded against.
-constexpr char kWorkloadHeader[] = "workload ";
+constexpr std::string_view kWorkloadHeader = "workload ";
 
 // Resident-footprint estimate for the budget policy. Exactness does not
 // matter — eviction order and pressure do — so this is a monotonic proxy:
@@ -57,6 +55,27 @@ WireSuggestion RenderSuggestion(const GdrSession& session,
 }
 
 }  // namespace
+
+std::string FormatSpillFile(std::string_view workload_spec,
+                            const SessionSnapshot& snapshot) {
+  std::string text(kWorkloadHeader);
+  text.append(workload_spec);
+  text += '\n';
+  text += snapshot.Serialize();
+  return text;
+}
+
+Result<SpillFile> ParseSpillFile(std::string_view text) {
+  SpillFile spill;
+  if (text.starts_with(kWorkloadHeader)) {
+    const std::size_t eol = text.find('\n');
+    spill.workload_spec = std::string(
+        text.substr(kWorkloadHeader.size(), eol - kWorkloadHeader.size()));
+    text.remove_prefix(eol == std::string_view::npos ? text.size() : eol + 1);
+  }
+  GDR_ASSIGN_OR_RETURN(spill.snapshot, SessionSnapshot::Deserialize(text));
+  return spill;
+}
 
 Status ValidateId(const std::string& id, const char* what) {
   if (id.empty() || id.size() > 64) {
@@ -114,11 +133,6 @@ Result<std::shared_ptr<SessionManager::ManagedSession>> SessionManager::Find(
   return it->second;
 }
 
-std::string SessionManager::SerializeSession(ManagedSession* session) const {
-  return kWorkloadHeader + session->config.workload_spec + "\n" +
-         session->session->Snapshot().Serialize();
-}
-
 Status SessionManager::Materialize(ManagedSession* session,
                                    const std::string* snapshot_text) {
   // Deterministic workloads rebuild identically on every call — the
@@ -137,27 +151,21 @@ Status SessionManager::Materialize(ManagedSession* session,
   if (snapshot_text == nullptr) {
     GDR_RETURN_NOT_OK(gdr_session->Start());
   } else {
-    std::string_view text = *snapshot_text;
-    if (text.rfind(kWorkloadHeader, 0) != 0) {
+    GDR_ASSIGN_OR_RETURN(const SpillFile spill,
+                         ParseSpillFile(*snapshot_text));
+    if (!spill.workload_spec.has_value()) {
       return Status::Internal("spill file for session '" +
                               session->key.session +
                               "' is missing its workload header");
     }
-    const std::size_t eol = text.find('\n');
-    const std::string_view spec =
-        text.substr(sizeof(kWorkloadHeader) - 1,
-                    eol - (sizeof(kWorkloadHeader) - 1));
-    if (spec != session->config.workload_spec) {
+    if (*spill.workload_spec != session->config.workload_spec) {
       return Status::Internal("spill file for session '" +
                               session->key.session +
                               "' was recorded against workload '" +
-                              std::string(spec) + "', expected '" +
+                              *spill.workload_spec + "', expected '" +
                               session->config.workload_spec + "'");
     }
-    text.remove_prefix(eol == std::string_view::npos ? text.size() : eol + 1);
-    Result<SessionSnapshot> snapshot = SessionSnapshot::Deserialize(text);
-    if (!snapshot.ok()) return snapshot.status();
-    GDR_RETURN_NOT_OK(gdr_session->Restore(*snapshot));
+    GDR_RETURN_NOT_OK(gdr_session->Restore(spill.snapshot));
   }
 
   const std::size_t bytes = EstimateBytes(*owned);
@@ -183,7 +191,8 @@ Status SessionManager::EnsureResident(ManagedSession* session) {
 }
 
 Result<std::size_t> SessionManager::Persist(ManagedSession* session) {
-  const std::string text = SerializeSession(session);
+  const std::string text = FormatSpillFile(
+      session->config.workload_spec, session->session->Snapshot());
   GDR_RETURN_NOT_OK(WriteFileAtomic(session->spill_path, text));
   return text.size();
 }

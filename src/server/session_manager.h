@@ -8,6 +8,7 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/session.h"
@@ -17,10 +18,30 @@
 
 namespace gdr::server {
 
+/// A spill file: one "workload <spec>" line naming the workload the
+/// snapshot was recorded against (a snapshot replays only over its own
+/// workload), then the serialized SessionSnapshot. SessionManager spills
+/// and rehydrates sessions in this format, and examples/interactive_repl
+/// saves and resumes in it.
+std::string FormatSpillFile(std::string_view workload_spec,
+                            const SessionSnapshot& snapshot);
+
+struct SpillFile {
+  /// The recorded workload; nullopt when the file has no header line
+  /// (interactive_repl builds from before the header wrote bare
+  /// snapshots).
+  std::optional<std::string> workload_spec;
+  SessionSnapshot snapshot;
+};
+
+/// Inverse of FormatSpillFile. Fails when the snapshot does not
+/// deserialize; a missing header is not an error here (callers decide).
+Result<SpillFile> ParseSpillFile(std::string_view text);
+
 struct SessionManagerOptions {
   /// Where evicted sessions spill their snapshots
-  /// (`<dir>/<tenant>__<session>.snapshot`, the interactive_repl format:
-  /// a "workload <spec>" header line + the versioned SessionSnapshot).
+  /// (`<dir>/<tenant>__<session>.snapshot`, in the FormatSpillFile
+  /// format).
   std::string spill_dir = "gdr_spill";
   /// Resident-memory budget across all sessions (estimated); exceeding it
   /// evicts least-recently-touched sessions to disk. 0 = never evict.
@@ -109,8 +130,6 @@ class SessionManager {
                      const std::string* snapshot_text);
   // Rehydrates from the spill file when evicted. Under the session mutex.
   Status EnsureResident(ManagedSession* session);
-  // Serializes the session (spill-file format) — under the session mutex.
-  std::string SerializeSession(ManagedSession* session) const;
   // Writes the spill file crash-safely; returns bytes written.
   Result<std::size_t> Persist(ManagedSession* session);
   // Drops the in-memory state after a successful Persist.

@@ -2,6 +2,7 @@
 
 #include <sstream>
 
+#include "core/session.h"
 #include "repair/heuristic_repair.h"
 #include "util/stopwatch.h"
 
@@ -25,8 +26,9 @@ Result<ExperimentResult> RunStrategyExperiment(
   options.shared_pool = config.shared_pool;
 
   const Stopwatch wall_watch;
-  GdrEngine engine(&working, &dataset.rules, &oracle, options);
-  GDR_RETURN_NOT_OK(engine.Initialize());
+  GdrSession session(&working, &dataset.rules, options);
+  GDR_RETURN_NOT_OK(session.Start());
+  const GdrEngine& engine = session.engine();
 
   // The evaluator shares the engine's rule weights so that measured loss
   // and the engine's internal VOI estimates refer to the same Eq. 3.
@@ -41,16 +43,15 @@ Result<ExperimentResult> RunStrategyExperiment(
   result.curve.push_back({0, 0.0, result.initial_loss});
   std::size_t last_sampled = 0;
 
-  const GdrEngine::ProgressCallback record_point =
-      [&](const GdrEngine& e, std::size_t feedback) {
-        if (feedback < last_sampled + sample_every) return;
-        last_sampled = feedback;
-        const double loss = evaluator.Loss(e.index());
-        result.curve.push_back(
-            {feedback,
-             evaluator.ImprovementPct(e.index(), result.initial_loss), loss});
-      };
-  GDR_RETURN_NOT_OK(engine.Run(record_point));
+  session.SetProgressCallback([&](const GdrEngine& e, std::size_t feedback) {
+    if (feedback < last_sampled + sample_every) return;
+    last_sampled = feedback;
+    const double loss = evaluator.Loss(e.index());
+    result.curve.push_back(
+        {feedback, evaluator.ImprovementPct(e.index(), result.initial_loss),
+         loss});
+  });
+  GDR_RETURN_NOT_OK(PumpSession(&session, &oracle));
 
   result.wall_seconds = wall_watch.ElapsedSeconds();
   result.stats = engine.stats();

@@ -125,10 +125,11 @@ TEST(ExperimentTest, PhaseTimingsArePopulated) {
   EXPECT_GT(timings.ranking_seconds, 0.0);  // VOI strategies rank each round
   EXPECT_GT(timings.session_seconds, 0.0);
   EXPECT_GT(timings.total_seconds, 0.0);
-  // Run() contains the ranking and session phases.
+  // The session API's machine time contains the ranking and session
+  // phases.
   EXPECT_GE(timings.total_seconds,
             timings.ranking_seconds + timings.session_seconds);
-  // The experiment wall clock wraps Initialize() + Run().
+  // The experiment wall clock wraps Start() + PumpSession().
   EXPECT_GT(result->wall_seconds, 0.0);
   EXPECT_GE(result->wall_seconds, timings.total_seconds);
 }

@@ -3,7 +3,7 @@
 // to exactly the true database with zero residual violations.
 #include <gtest/gtest.h>
 
-#include "core/gdr.h"
+#include "core/session.h"
 #include "sim/oracle.h"
 
 namespace gdr {
@@ -69,9 +69,10 @@ TEST_F(Figure1EndToEnd, RepairsToExactGroundTruth) {
   UserOracle oracle(&truth_);
   GdrOptions options;
   options.strategy = Strategy::kGdrNoLearning;
-  GdrEngine engine(&working, &rules_, &oracle, options);
-  ASSERT_TRUE(engine.Initialize().ok());
-  ASSERT_TRUE(engine.Run().ok());
+  GdrSession session(&working, &rules_, options);
+  ASSERT_TRUE(session.Start().ok());
+  ASSERT_TRUE(PumpSession(&session, &oracle).ok());
+  const GdrEngine& engine = session.engine();
 
   EXPECT_EQ(engine.index().TotalViolations(), 0);
   auto diff = working.CountDifferingCells(truth_);
@@ -83,10 +84,10 @@ TEST_F(Figure1EndToEnd, GroupingMatchesNarrative) {
   // Section 1.1: one group suggests CT := 'Michigan City' (t2, t3 here);
   // grouping is by (attribute, suggested value).
   Table working = dirty_;
-  UserOracle oracle(&truth_);
-  GdrEngine engine(&working, &rules_, &oracle);
-  ASSERT_TRUE(engine.Initialize().ok());
-  const std::vector<UpdateGroup> groups = GroupUpdates(engine.pool());
+  GdrSession session(&working, &rules_);
+  ASSERT_TRUE(session.Start().ok());
+  const std::vector<UpdateGroup> groups =
+      GroupUpdates(session.engine().pool());
   const AttrId ct = schema_.FindAttr("CT");
   bool found = false;
   for (const UpdateGroup& group : groups) {
@@ -104,9 +105,10 @@ TEST_F(Figure1EndToEnd, ConsultingUserCostsAtMostPoolSize) {
   UserOracle oracle(&truth_);
   GdrOptions options;
   options.strategy = Strategy::kGdrNoLearning;
-  GdrEngine engine(&working, &rules_, &oracle, options);
-  ASSERT_TRUE(engine.Initialize().ok());
-  ASSERT_TRUE(engine.Run().ok());
+  GdrSession session(&working, &rules_, options);
+  ASSERT_TRUE(session.Start().ok());
+  ASSERT_TRUE(PumpSession(&session, &oracle).ok());
+  const GdrEngine& engine = session.engine();
   // Every user answer concerned a distinct suggested update; rejects can
   // trigger replacements, so the bound is loose but must stay small.
   EXPECT_LE(engine.stats().user_feedback, 24u);

@@ -11,6 +11,7 @@
 
 #include "server/protocol.h"
 #include "server/session_manager.h"
+#include "util/fileio.h"
 #include "util/strings.h"
 
 namespace gdr::server {
@@ -235,6 +236,59 @@ TEST(SessionManagerTest, CloseDropsTheSpillFile) {
   EXPECT_TRUE(std::filesystem::exists(spill));
   ASSERT_TRUE(manager.Close(key).ok());
   EXPECT_FALSE(std::filesystem::exists(spill));
+}
+
+TEST(SpillFileTest, FormatParseRoundTripAndWorkloadCheck) {
+  SessionManagerOptions options = TestOptions("gdr_spill_format");
+  SessionManager manager(options);
+  const SessionKey key{"t", "s"};
+  ASSERT_TRUE(manager.Open(key, Figure1Config()).ok());
+  const auto batch = manager.Next(key);
+  ASSERT_TRUE(batch.ok());
+  ASSERT_FALSE(batch->suggestions.empty());
+  ASSERT_TRUE(manager
+                  .Feedback(key, batch->suggestions[0].update_id,
+                            Feedback::kConfirm, std::nullopt)
+                  .ok());
+  ASSERT_TRUE(manager.Evict(key).ok());
+  const std::string path =
+      (std::filesystem::path(options.spill_dir) / "t__s.snapshot").string();
+  const Result<std::string> written = ReadFileToString(path);
+  ASSERT_TRUE(written.ok()) << written.status().ToString();
+
+  // The manager's file is the header line plus the snapshot, byte for
+  // byte, and format(parse(file)) reproduces it.
+  const Result<SpillFile> parsed = ParseSpillFile(*written);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  ASSERT_TRUE(parsed->workload_spec.has_value());
+  EXPECT_EQ(*parsed->workload_spec, "figure1");
+  EXPECT_FALSE(parsed->snapshot.events.empty());
+  const std::string body = parsed->snapshot.Serialize();
+  EXPECT_EQ(*written, "workload figure1\n" + body);
+  EXPECT_EQ(FormatSpillFile("figure1", parsed->snapshot), *written);
+
+  // A headerless file (a bare snapshot) parses, with no workload.
+  const Result<SpillFile> bare = ParseSpillFile(body);
+  ASSERT_TRUE(bare.ok()) << bare.status().ToString();
+  EXPECT_FALSE(bare->workload_spec.has_value());
+  EXPECT_EQ(bare->snapshot.events, parsed->snapshot.events);
+  EXPECT_FALSE(ParseSpillFile("workload figure1\nnot a snapshot").ok());
+
+  // The manager refuses to rehydrate from a file recorded against another
+  // workload, or from one without a header...
+  ASSERT_TRUE(
+      WriteFileAtomic(path, FormatSpillFile("figure1:x=1", parsed->snapshot))
+          .ok());
+  const auto foreign = manager.Next(key);
+  ASSERT_FALSE(foreign.ok());
+  EXPECT_EQ(foreign.status().code(), StatusCode::kInternal);
+  ASSERT_TRUE(WriteFileAtomic(path, body).ok());
+  const auto headerless = manager.Next(key);
+  ASSERT_FALSE(headerless.ok());
+  EXPECT_EQ(headerless.status().code(), StatusCode::kInternal);
+  // ...and rehydrates once its own file is back.
+  ASSERT_TRUE(WriteFileAtomic(path, *written).ok());
+  EXPECT_TRUE(manager.Next(key).ok());
 }
 
 // ---------------------------------------------------------------------------

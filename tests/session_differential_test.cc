@@ -1,8 +1,9 @@
-// The acceptance contract of the session redesign: GdrEngine::Run() (the
-// compatibility shim) and a hand-pumped GdrSession produce bit-identical
-// GdrStats, repaired tables, and quality curves for every strategy at
-// fixed seeds — and a Snapshot() taken mid-session (mid-group, mid-batch,
-// post-retrain) Restore()s to the identical final result.
+// The contract of the pull-shaped loop: PumpSession (the blocking driver
+// over a FeedbackProvider) and a hand-pumped GdrSession produce
+// bit-identical GdrStats, repaired tables, and progress-callback lists for
+// every strategy at fixed seeds — and a Snapshot() taken mid-session
+// (mid-group, mid-batch, post-retrain) Restore()s to the identical final
+// result.
 #include <optional>
 #include <string>
 #include <vector>
@@ -23,6 +24,26 @@ constexpr Strategy kAllStrategies[] = {
     Strategy::kGreedy,        Strategy::kRandomRanking,
 };
 
+// Progress callbacks per strategy for the run in
+// PumpedAndHandPumpedSessionsAreBitIdentical: one per applied label (100),
+// plus one per learner take-over that consulted a trained model and one
+// per budget-exhaustion sweep. Pinned so the firing points cannot move
+// unnoticed on both sides at once.
+std::size_t ExpectedCallbacks(Strategy strategy) {
+  switch (strategy) {
+    case Strategy::kGdr:
+    case Strategy::kGdrSLearning:
+      return 112;
+    case Strategy::kActiveLearning:
+      return 101;
+    case Strategy::kGdrNoLearning:
+    case Strategy::kGreedy:
+    case Strategy::kRandomRanking:
+      return 100;
+  }
+  return 0;
+}
+
 Dataset SmallDataset() {
   return *WorkloadRegistry::Global().Resolve("dataset1:records=600,seed=21");
 }
@@ -42,7 +63,7 @@ void ExpectSameStats(const GdrStats& a, const GdrStats& b,
 }
 
 // Answers one suggestion with the oracle (collecting a volunteered value
-// after a reject, like the shim does). Returns false on session error.
+// after a reject, like PumpSession does).
 void AnswerOne(GdrSession* session, const SuggestedUpdate& s,
                UserOracle* oracle) {
   if (!session->IsLive(s.update_id)) return;
@@ -55,7 +76,7 @@ void AnswerOne(GdrSession* session, const SuggestedUpdate& s,
       session->SubmitFeedback(s.update_id, feedback, volunteered).ok());
 }
 
-TEST(SessionDifferentialTest, ShimAndHandPumpedSessionAreBitIdentical) {
+TEST(SessionDifferentialTest, PumpedAndHandPumpedSessionsAreBitIdentical) {
   const Dataset dataset = SmallDataset();
   for (Strategy strategy : kAllStrategies) {
     GdrOptions options;
@@ -67,17 +88,17 @@ TEST(SessionDifferentialTest, ShimAndHandPumpedSessionAreBitIdentical) {
     oracle_options.volunteer_probability = 0.3;
     oracle_options.seed = 91;
 
-    // A: the legacy push loop through the Run() shim.
+    // A: the blocking driver, PumpSession over a FeedbackProvider.
     Table table_a = dataset.dirty;
     UserOracle oracle_a(&dataset.clean, oracle_options);
-    GdrEngine engine_a(&table_a, &dataset.rules, &oracle_a, options);
-    ASSERT_TRUE(engine_a.Initialize().ok());
+    GdrSession session_a(&table_a, &dataset.rules, options);
     std::vector<std::size_t> callbacks_a;
-    ASSERT_TRUE(engine_a
-                    .Run([&callbacks_a](const GdrEngine&, std::size_t f) {
-                      callbacks_a.push_back(f);
-                    })
-                    .ok());
+    session_a.SetProgressCallback(
+        [&callbacks_a](const GdrEngine&, std::size_t f) {
+          callbacks_a.push_back(f);
+        });
+    ASSERT_TRUE(session_a.Start().ok());
+    ASSERT_TRUE(PumpSession(&session_a, &oracle_a).ok());
 
     // B: the pull API, hand-pumped batch by batch.
     Table table_b = dataset.dirty;
@@ -98,13 +119,15 @@ TEST(SessionDifferentialTest, ShimAndHandPumpedSessionAreBitIdentical) {
     }
 
     const std::string label = StrategyName(strategy);
-    ExpectSameStats(engine_a.stats(), session.stats(), label);
+    ExpectSameStats(session_a.stats(), session.stats(), label);
     EXPECT_EQ(*table_a.CountDifferingCells(table_b), 0u) << label;
     EXPECT_EQ(callbacks_a, callbacks_b) << label;
-    EXPECT_EQ(engine_a.index().TotalViolations(),
+    EXPECT_EQ(callbacks_a.size(), ExpectedCallbacks(strategy)) << label;
+    EXPECT_EQ(callbacks_a.back(), session_a.stats().user_feedback) << label;
+    EXPECT_EQ(session_a.engine().index().TotalViolations(),
               session.engine().index().TotalViolations())
         << label;
-    EXPECT_EQ(engine_a.pool().size(), session.engine().pool().size())
+    EXPECT_EQ(session_a.engine().pool().size(), session.engine().pool().size())
         << label;
     EXPECT_EQ(oracle_a.feedback_given(), oracle_b.feedback_given()) << label;
     EXPECT_EQ(oracle_a.values_volunteered(), oracle_b.values_volunteered())

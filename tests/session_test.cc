@@ -1,7 +1,7 @@
 // GdrSession API behavior: state machine transitions, batch metadata,
 // feedback outcomes, abandoned batches, budget accounting, and the
-// snapshot wire format. Bit-identity with the legacy Run() loop is covered
-// separately by session_differential_test.cc.
+// snapshot wire format. Bit-identity of PumpSession with a hand-pumped
+// session is covered separately by session_differential_test.cc.
 #include "core/session.h"
 
 #include <gtest/gtest.h>
@@ -44,15 +44,15 @@ TEST(GdrSessionTest, StartIsSingleShot) {
   EXPECT_EQ(session.Start().code(), StatusCode::kFailedPrecondition);
 }
 
-TEST(GdrSessionTest, RunShimRequiresProvider) {
+TEST(GdrSessionTest, PumpSessionRequiresProvider) {
   Dataset dataset = SmallDataset();
   Table working = dataset.dirty;
-  GdrEngine engine(&working, &dataset.rules, /*user=*/nullptr);
-  ASSERT_TRUE(engine.Initialize().ok());
-  EXPECT_EQ(engine.Run().code(), StatusCode::kFailedPrecondition);
-  // ...but the same engine is perfectly drivable through a session.
-  GdrSession session(&engine);
+  GdrSession session(&working, &dataset.rules);
   ASSERT_TRUE(session.Start().ok());
+  EXPECT_EQ(PumpSession(&session, /*user=*/nullptr).code(),
+            StatusCode::kInvalidArgument);
+  // ...and the refusal consumed nothing: the session is still drivable.
+  EXPECT_EQ(session.stats().user_feedback, 0u);
   auto batch = session.NextBatch();
   ASSERT_TRUE(batch.ok());
   EXPECT_FALSE(batch->empty());

@@ -91,48 +91,6 @@ TEST(ShardPlanTest, OwnerOfMatchesRangesIncludingEdges) {
   }
 }
 
-TEST(ShardPlanTest, AppendsRouteRoundRobin) {
-  auto plan = ShardPlan::Split(10, 3);
-  ASSERT_TRUE(plan.ok());
-  EXPECT_EQ(plan->OwnerOfAppend(0), 0u);
-  EXPECT_EQ(plan->OwnerOfAppend(1), 1u);
-  EXPECT_EQ(plan->OwnerOfAppend(2), 2u);
-  EXPECT_EQ(plan->OwnerOfAppend(3), 0u);
-  // Empty initial shards still receive appends.
-  auto sparse = ShardPlan::Split(1, 3);
-  ASSERT_TRUE(sparse.ok());
-  EXPECT_EQ(sparse->OwnerOfAppend(1), 1u);
-  EXPECT_EQ(sparse->OwnerOfAppend(2), 2u);
-}
-
-TEST(ShardPlanTest, RouteAppendsPartitionsPreservingOrder) {
-  auto plan = ShardPlan::Split(6, 2);
-  ASSERT_TRUE(plan.ok());
-  const std::vector<std::vector<std::string>> rows = {
-      {"a"}, {"b"}, {"c"}, {"d"}, {"e"}};
-  // Offset 1: indexes 1..5 -> shards 1,0,1,0,1.
-  const auto routed = plan->RouteAppends(rows, /*appends_so_far=*/1);
-  ASSERT_EQ(routed.size(), 2u);
-  ASSERT_EQ(routed[0].size(), 2u);
-  EXPECT_EQ(routed[0][0][0], "b");
-  EXPECT_EQ(routed[0][1][0], "d");
-  ASSERT_EQ(routed[1].size(), 3u);
-  EXPECT_EQ(routed[1][0][0], "a");
-  EXPECT_EQ(routed[1][1][0], "c");
-  EXPECT_EQ(routed[1][2][0], "e");
-}
-
-TEST(ShardPlanTest, EveryAppendLandsInExactlyOneShard) {
-  auto plan = ShardPlan::Split(10, 4);
-  ASSERT_TRUE(plan.ok());
-  std::vector<std::vector<std::string>> rows;
-  for (int i = 0; i < 11; ++i) rows.push_back({std::to_string(i)});
-  const auto routed = plan->RouteAppends(rows, /*appends_so_far=*/3);
-  std::size_t total = 0;
-  for (const auto& shard_rows : routed) total += shard_rows.size();
-  EXPECT_EQ(total, rows.size());
-}
-
 // ------------------------------------------------- MakeShardDataset --
 
 Dataset SmallDataset() {
