@@ -93,6 +93,9 @@ void GdrEngine::SyncPerfTimings() {
   timings.learner_inferences = learner.Count(PerfPhase::kLearnerTreeWalk);
   timings.voi_probe_seconds = voi.Seconds(PerfPhase::kVoiProbe);
   timings.voi_probes = voi.Count(PerfPhase::kVoiProbe);
+  timings.learner_retrain_seconds =
+      learner.Seconds(PerfPhase::kLearnerRetrain);
+  timings.learner_retrains = learner.Count(PerfPhase::kLearnerRetrain);
 }
 
 Result<GdrEngine::AppendOutcome> GdrEngine::AppendDirtyRows(

@@ -112,11 +112,15 @@ struct GdrTimings {
   /// after every ranking pass. learner_* covers p̃ evaluation (feature
   /// encoding vs forest tree walks, `learner_inferences` updates total);
   /// voi_probe_* covers the benefit probes (`voi_probes` updates probed).
+  /// learner_retrain_* covers forest retraining (`learner_retrains`
+  /// forests trained), wherever it happens: sessions, take-overs, sweeps.
   double learner_encode_seconds = 0.0;
   double learner_tree_walk_seconds = 0.0;
   double voi_probe_seconds = 0.0;
+  double learner_retrain_seconds = 0.0;
   std::uint64_t learner_inferences = 0;
   std::uint64_t voi_probes = 0;
+  std::uint64_t learner_retrains = 0;
 };
 
 struct GdrStats {

@@ -246,7 +246,10 @@ Result<std::vector<SuggestedUpdate>> GdrSession::NextBatch() {
   pull.kind = SessionSnapshot::Event::Kind::kPull;
   log_.push_back(pull);
   state_ = SessionState::kRanking;
-  GDR_RETURN_NOT_OK(Advance(&batch));
+  const Status advanced = Advance(&batch);
+  // Retrains and sweeps run outside the ranking passes that also sync.
+  engine_->SyncPerfTimings();
+  GDR_RETURN_NOT_OK(advanced);
   return batch;
 }
 

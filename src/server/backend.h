@@ -96,13 +96,16 @@ struct WireServerStats {
   std::uint64_t pool_tasks_completed = 0;
   /// Hot-path phase counters aggregated over the resident sessions
   /// (GdrTimings: learner feature-encode / forest tree-walk seconds,
-  /// benefit-probe seconds and probe count). Evicted sessions' time is
+  /// benefit-probe seconds and probe count, forest-retrain seconds and
+  /// forests trained). Evicted sessions' time is
   /// not replayed into these — they reset to their snapshot's history on
   /// rehydration like every other timing.
   double learner_encode_seconds = 0.0;
   double learner_tree_walk_seconds = 0.0;
   double voi_probe_seconds = 0.0;
   std::uint64_t voi_probes = 0;
+  double learner_retrain_seconds = 0.0;
+  std::uint64_t learner_retrains = 0;
 };
 
 }  // namespace gdr::server

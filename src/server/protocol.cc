@@ -147,7 +147,9 @@ bool HandleCommand(SessionManager* manager, std::string_view line,
         << " learner-encode-s=" << stats.learner_encode_seconds
         << " learner-treewalk-s=" << stats.learner_tree_walk_seconds
         << " voi-probe-s=" << stats.voi_probe_seconds
-        << " voi-probes=" << stats.voi_probes << "\n";
+        << " voi-probes=" << stats.voi_probes
+        << " learner-retrain-s=" << stats.learner_retrain_seconds
+        << " learner-retrains=" << stats.learner_retrains << "\n";
     reply->append(out.str());
     return true;
   }

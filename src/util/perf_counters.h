@@ -18,12 +18,16 @@ enum class PerfPhase : std::size_t {
   kLearnerTreeWalk,
   /// VOI benefit probes (closed-form batch probes or delta staging).
   kVoiProbe,
+  /// LearnerBank forest retraining; counted only when a forest is
+  /// actually trained (count = forests trained).
+  kLearnerRetrain,
 };
 
-inline constexpr std::size_t kNumPerfPhases = 3;
+inline constexpr std::size_t kNumPerfPhases = 4;
 
 /// Alloc-free cumulative phase counters: wall nanoseconds plus an item
-/// count per phase (updates encoded, rows walked, updates probed). A
+/// count per phase (updates encoded, rows walked, updates probed,
+/// forests trained). A
 /// PerfCounters is plain data — no locks, no heap — so the per-thread
 /// pattern is one instance per worker scratch, merged into an owner's
 /// instance after the fan-out barrier. Single-instance use (LearnerBank,

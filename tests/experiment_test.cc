@@ -134,6 +134,26 @@ TEST(ExperimentTest, PhaseTimingsArePopulated) {
   EXPECT_GE(result->wall_seconds, timings.total_seconds);
 }
 
+TEST(ExperimentTest, RetrainTimingsFollowTheLearner) {
+  Dataset dataset = TinyDataset();
+  ExperimentConfig config;
+  config.strategy = Strategy::kGdr;
+  config.feedback_budget = 100;
+  auto result = RunStrategyExperiment(dataset, config);
+  ASSERT_TRUE(result.ok());
+  const GdrTimings& timings = result->stats.timings;
+  EXPECT_GT(timings.learner_retrains, 0u);
+  EXPECT_GT(timings.learner_retrain_seconds, 0.0);
+  EXPECT_LE(timings.learner_retrain_seconds, timings.total_seconds);
+
+  config.strategy = Strategy::kGdrNoLearning;
+  Dataset fresh = TinyDataset();
+  auto no_learner = RunStrategyExperiment(fresh, config);
+  ASSERT_TRUE(no_learner.ok());
+  EXPECT_EQ(no_learner->stats.timings.learner_retrains, 0u);
+  EXPECT_EQ(no_learner->stats.timings.learner_retrain_seconds, 0.0);
+}
+
 TEST(ExperimentTest, HeuristicReportsWallClock) {
   Dataset dataset = TinyDataset();
   auto result = RunHeuristicExperiment(dataset);

@@ -84,6 +84,19 @@ TEST_F(LearnerBankFixture, RetrainIsNoOpWithoutNewFeedback) {
   EXPECT_TRUE(bank_->IsTrained(1));
 }
 
+TEST_F(LearnerBankFixture, RetrainPhaseCountsOnlyForestsTrained) {
+  ASSERT_TRUE(bank_->AddFeedback(CityUpdate(1), Feedback::kConfirm).ok());
+  ASSERT_TRUE(bank_->Retrain(1).ok());  // below the threshold: no forest
+  EXPECT_EQ(bank_->perf_counters().Count(PerfPhase::kLearnerRetrain), 0u);
+  for (RowId row : {RowId{3}, RowId{5}, RowId{7}}) {
+    ASSERT_TRUE(bank_->AddFeedback(CityUpdate(row), Feedback::kConfirm).ok());
+  }
+  ASSERT_TRUE(bank_->Retrain(1).ok());
+  ASSERT_TRUE(bank_->Retrain(1).ok());  // not stale: no forest
+  EXPECT_EQ(bank_->perf_counters().Count(PerfPhase::kLearnerRetrain), 1u);
+  EXPECT_GT(bank_->perf_counters().Seconds(PerfPhase::kLearnerRetrain), 0.0);
+}
+
 TEST_F(LearnerBankFixture, PerAttributeModelsAreIndependent) {
   for (RowId row : {RowId{1}, RowId{3}, RowId{5}, RowId{7}}) {
     ASSERT_TRUE(bank_->AddFeedback(CityUpdate(row), Feedback::kConfirm).ok());

@@ -328,6 +328,8 @@ TEST(ProtocolTest, ScriptedSessionSpeaksTheGrammar) {
   std::size_t i = 2;
   while (i < lines.size() && lines[i].rfind("S ", 0) == 0) ++i;
   EXPECT_EQ(lines[i].rfind("OK resident=1 evicted=0", 0), 0u);
+  EXPECT_NE(lines[i].find(" learner-retrain-s="), std::string::npos);
+  EXPECT_NE(lines[i].find(" learner-retrains="), std::string::npos);
   EXPECT_EQ(lines[i + 1].rfind("OK bytes=", 0), 0u);  // snapshot
   EXPECT_EQ(lines[i + 2].rfind("OK bytes=", 0), 0u);  // evict
   EXPECT_EQ(lines[i + 3], "OK closed");
