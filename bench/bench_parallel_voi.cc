@@ -7,9 +7,11 @@
 // parallelism must only buy wall-clock, never change the chosen group.
 //
 // Emits a machine-readable BENCH_voi.json next to the human-readable
-// table so the repo's bench trajectory is trackable across commits.
-// Speedups are hardware-dependent; `hardware_concurrency` is recorded in
-// the JSON so a 1-core CI result is not mistaken for a regression.
+// table so the repo's bench trajectory is trackable across commits. It
+// records absolute seconds per thread count and no ratio: the 1-thread
+// pass moves by up to 2x run to run on a shared host, so a ratio against
+// it reports host noise. `hardware_concurrency` is recorded so a 1-core
+// result is not mistaken for a regression.
 //
 // Also emits BENCH_hotpath.json: the single-thread hot-path numbers
 // (index-build seconds, UpdateBenefit ns/update with one HypotheticalBatch
@@ -66,7 +68,6 @@ namespace {
 struct Measurement {
   std::size_t threads = 1;
   double seconds = 0.0;   // best-of-repeats for one full Rank() pass
-  double speedup = 1.0;   // serial seconds / this
   bool scores_match = true;
 };
 
@@ -184,7 +185,7 @@ int RunBench(int argc, char** argv) {
 
   // Serial reference (one reused HypotheticalBatch — what Rank always does).
   // One untimed pass first: the first Rank after setup runs cold and would
-  // otherwise set the 1-thread reference the speedups divide by.
+  // otherwise inflate the 1-thread row.
   VoiRanker serial(&engine.index(), &engine.rule_weights());
   VoiRanker::Ranking reference =
       serial.Rank(groups, [](const Update& u) { return u.score; });
@@ -417,7 +418,7 @@ int RunBench(int argc, char** argv) {
   const PerfCounters& bank_perf = bank.perf_counters();
 
   std::vector<Measurement> results;
-  results.push_back({1, serial_seconds, 1.0, true});
+  results.push_back({1, serial_seconds, true});
   for (std::size_t threads = 2; threads <= threads_max; threads *= 2) {
     ThreadPool pool(threads);
     VoiRanker ranker(&engine.index(), &engine.rule_weights(), &pool);
@@ -425,17 +426,15 @@ int RunBench(int argc, char** argv) {
     Measurement m;
     m.threads = threads;
     m.seconds = TimeRank(ranker, groups, repeats, &ranking);
-    m.speedup = m.seconds > 0.0 ? serial_seconds / m.seconds : 0.0;
     m.scores_match = ranking.scores == reference.scores &&
                      ranking.order == reference.order;
     results.push_back(m);
   }
 
-  std::printf("%8s %14s %10s %14s\n", "threads", "rank-seconds", "speedup",
-              "scores-match");
+  std::printf("%8s %14s %14s\n", "threads", "rank-seconds", "scores-match");
   bool all_match = true;
   for (const Measurement& m : results) {
-    std::printf("%8zu %14.4f %9.2fx %14s\n", m.threads, m.seconds, m.speedup,
+    std::printf("%8zu %14.4f %14s\n", m.threads, m.seconds,
                 m.scores_match ? "yes" : "NO");
     all_match = all_match && m.scores_match;
   }
@@ -460,8 +459,8 @@ int RunBench(int argc, char** argv) {
       const Measurement& m = results[i];
       std::fprintf(out,
                    "    {\"threads\": %zu, \"rank_seconds\": %.6f, "
-                   "\"speedup\": %.3f, \"scores_match\": %s}%s\n",
-                   m.threads, m.seconds, m.speedup,
+                   "\"scores_match\": %s}%s\n",
+                   m.threads, m.seconds,
                    m.scores_match ? "true" : "false",
                    i + 1 < results.size() ? "," : "");
     }

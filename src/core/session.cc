@@ -300,7 +300,9 @@ Result<FeedbackOutcome> GdrSession::SubmitFeedback(
       .feedback = feedback,
       .applied = outcome == FeedbackOutcome::kApplied,
       .has_value = suggested_value.has_value(),
-      .value = suggested_value.value_or(std::string())});
+      .value = suggested_value.value_or(std::string()),
+      .rows = {},
+      .newly_dirty = 0});
   if (resolved_count_ == outstanding_.size()) {
     // The batch is fully answered; machine steps (retrain, reorder, group
     // transition) run on the next pull.

@@ -20,6 +20,46 @@ struct DecisionTreeOptions {
   int feature_subsample = 0;
 };
 
+/// A training set transposed for tree building. It holds the labels and,
+/// per feature, each example's dense rank among that feature's distinct
+/// values in ascending order, plus the rank → value table. Building it
+/// costs one sort per feature; a forest builds it once and every tree
+/// trains on it, so split search counts small integers instead of sorting
+/// doubles or keying maps at every node. Read-only after construction.
+class ColumnView {
+ public:
+  explicit ColumnView(const TrainingSet& data);
+
+  std::size_t num_examples() const { return labels_.size(); }
+  std::size_t num_features() const { return categorical_.size(); }
+  int num_classes() const { return num_classes_; }
+  bool IsCategorical(std::size_t f) const { return categorical_[f] != 0; }
+  int label(std::size_t i) const { return labels_[i]; }
+
+  /// Example i's rank on feature f is ranks(f)[i], in [0, distinct(f)).
+  const std::uint32_t* ranks(std::size_t f) const {
+    return ranks_.data() + f * num_examples();
+  }
+  /// Feature f's distinct values in ascending order, indexed by rank.
+  const double* values(std::size_t f) const {
+    return values_.data() + value_begin_[f];
+  }
+  std::size_t distinct(std::size_t f) const {
+    return value_begin_[f + 1] - value_begin_[f];
+  }
+  /// The largest distinct(f) over all features (histogram sizing).
+  std::size_t max_distinct() const { return max_distinct_; }
+
+ private:
+  int num_classes_ = 0;
+  std::vector<std::uint8_t> categorical_;
+  std::vector<int> labels_;
+  std::vector<std::uint32_t> ranks_;  // feature-major: [f * n + i]
+  std::vector<std::size_t> value_begin_;  // num_features + 1 offsets
+  std::vector<double> values_;
+  std::size_t max_distinct_ = 0;
+};
+
 /// A binary classification tree trained by recursive information-gain
 /// splitting (entropy impurity), supporting
 ///  * numeric features:      x[f] <= threshold,
@@ -28,6 +68,17 @@ struct DecisionTreeOptions {
 /// random-forest base learner construction (Breiman 2001), which the paper
 /// uses via WEKA. One-vs-rest equality splits keep high-cardinality
 /// categorical attributes (city names, zip codes) tractable.
+///
+/// Training works on a ColumnView. The bag is one item buffer that each
+/// node partitions in place before recursing on the two sub-ranges. At a
+/// node, each candidate feature counts its items' classes into a reused
+/// rank × class histogram, then walks the ranks present in ascending
+/// order: a categorical feature scores one-vs-rest per value, a numeric
+/// feature takes prefix sums and puts each threshold halfway between
+/// adjacent distinct values. Gains depend only on class counts, so the
+/// order of items inside a node never matters; ties keep the first split
+/// found (features ascending, then values ascending). Nothing is allocated
+/// per node.
 ///
 /// The tree is stored flat, structure-of-arrays: feature / categorical /
 /// threshold / left / right / majority as parallel arrays indexed by node
@@ -41,10 +92,14 @@ class DecisionTree {
  public:
   DecisionTree() = default;
 
-  /// Trains on `indices` into `data` (duplicates allowed — this is how
-  /// bootstrap bags are passed). Resets prior contents. `rng` is needed
-  /// only when options.feature_subsample > 0 (may be nullptr otherwise).
-  /// Fails on an empty index set or an empty schema.
+  /// Trains on `bag`, indices into `view`'s examples (duplicates allowed —
+  /// this is how bootstrap bags are passed). Resets prior contents. `rng`
+  /// is needed only when options.feature_subsample > 0 (may be nullptr
+  /// otherwise). Fails on an empty bag or an empty schema.
+  Status Train(const ColumnView& view, const std::vector<std::size_t>& bag,
+               const DecisionTreeOptions& options, Rng* rng);
+
+  /// Convenience: builds a ColumnView of `data` and trains on `indices`.
   Status Train(const TrainingSet& data,
                const std::vector<std::size_t>& indices,
                const DecisionTreeOptions& options, Rng* rng);
@@ -80,13 +135,18 @@ class DecisionTree {
   int num_classes() const { return num_classes_; }
 
  private:
-  // Recursive builder; appends the created node (and, before returning,
-  // its whole subtree) in pre-order and returns its index.
-  std::int32_t Build(const TrainingSet& data, std::vector<std::size_t>& items,
-                     int depth, const DecisionTreeOptions& options, Rng* rng);
+  // Per-Train state: the view, the item buffer and the reused scratch.
+  struct Trainer;
 
-  std::int32_t MakeLeaf(const TrainingSet& data,
-                        const std::vector<std::size_t>& items);
+  // Recursive builder over trainer.items[begin, end); appends the created
+  // node (and, before returning, its whole subtree) in pre-order and
+  // returns its index.
+  std::int32_t Build(Trainer& trainer, std::size_t begin, std::size_t end,
+                     int depth);
+
+  // A leaf holding `counts` (per class, summing to `total`).
+  std::int32_t MakeLeaf(const std::vector<std::size_t>& counts,
+                        std::size_t total);
 
   // Appends one node to the parallel arrays; returns its index.
   std::int32_t AppendNode(std::int32_t feature, bool categorical,

@@ -1,5 +1,7 @@
 #include "ml/example.h"
 
+#include <cmath>
+
 namespace gdr {
 
 Status TrainingSet::Add(Example example) {
@@ -8,6 +10,12 @@ Status TrainingSet::Add(Example example) {
         "example arity " + std::to_string(example.features.size()) +
         " does not match schema arity " +
         std::to_string(schema_.num_features()));
+  }
+  for (std::size_t f = 0; f < example.features.size(); ++f) {
+    if (std::isnan(example.features[f])) {
+      return Status::InvalidArgument("feature " + std::to_string(f) +
+                                     " is NaN");
+    }
   }
   if (example.label < 0 || example.label >= num_classes_) {
     return Status::InvalidArgument("label out of range: " +

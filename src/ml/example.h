@@ -56,7 +56,9 @@ class TrainingSet {
   TrainingSet(FeatureSchema schema, int num_classes)
       : schema_(std::move(schema)), num_classes_(num_classes) {}
 
-  /// Appends an example; fails on arity mismatch or label out of range.
+  /// Appends an example; fails on arity mismatch, a NaN feature (trees
+  /// rank feature values, which needs a strict weak order) or label out of
+  /// range.
   Status Add(Example example);
 
   const FeatureSchema& schema() const { return schema_; }

@@ -26,14 +26,16 @@ Status RandomForest::Train(const TrainingSet& data) {
       1, static_cast<std::size_t>(options_.bootstrap_fraction *
                                   static_cast<double>(n)));
 
+  // One column view for the whole committee: every tree trains on it.
+  const ColumnView view(data);
+  std::vector<std::size_t> bag(bag_size);
   trees_.resize(static_cast<std::size_t>(options_.num_trees));
   for (DecisionTree& tree : trees_) {
     // Bootstrap bag: sample with replacement.
-    std::vector<std::size_t> bag(bag_size);
     for (std::size_t& index : bag) {
       index = static_cast<std::size_t>(rng.NextBounded(n));
     }
-    GDR_RETURN_NOT_OK(tree.Train(data, bag, tree_options, &rng));
+    GDR_RETURN_NOT_OK(tree.Train(view, bag, tree_options, &rng));
   }
   return Status::OK();
 }

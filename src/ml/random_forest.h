@@ -29,13 +29,18 @@ struct RandomForestOptions {
 /// prediction is the majority vote, and the disagreement entropy of the
 /// votes is the learning-benefit (uncertainty) score used to order updates
 /// for the user.
+///
+/// Training builds one ColumnView of the training set (each feature's
+/// values ranked once) and every tree trains on it with its own bootstrap
+/// bag; see DecisionTree for the per-node rank histograms.
 class RandomForest {
  public:
   explicit RandomForest(RandomForestOptions options = {})
       : options_(options) {}
 
-  /// (Re)trains the committee on `data`. Deterministic given options.seed.
-  /// Fails on an empty training set.
+  /// (Re)trains the committee on `data`. Deterministic given options.seed:
+  /// one Rng stream draws each tree's bag, then that tree's feature
+  /// subsamples in pre-order. Fails on an empty training set.
   Status Train(const TrainingSet& data);
 
   bool trained() const { return !trees_.empty(); }

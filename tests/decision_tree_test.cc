@@ -19,6 +19,20 @@ TEST(CountsEntropyTest, KnownValues) {
   EXPECT_NEAR(CountsEntropy({1, 1, 1, 1}), std::log(4.0), 1e-12);
 }
 
+TEST(TrainingSetTest, RejectsNaNFeatures) {
+  TrainingSet set(MixedSchema(), 2);
+  EXPECT_EQ(set.Add({{0.0, std::nan("")}, 0}).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(set.Add({{std::nan(""), 1.0}, 0}).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_TRUE(set.empty());
+  // Infinities are ordered, so they stay accepted and trainable.
+  EXPECT_TRUE(set.Add({{0.0, -INFINITY}, 0}).ok());
+  EXPECT_TRUE(set.Add({{0.0, INFINITY}, 1}).ok());
+  DecisionTree tree;
+  EXPECT_TRUE(tree.Train(set, {}, nullptr).ok());
+}
+
 TEST(DecisionTreeTest, RejectsEmptyTraining) {
   TrainingSet set(MixedSchema(), 2);
   DecisionTree tree;

@@ -3,11 +3,15 @@
 // forest evaluation over flat SoA trees) must be bit-identical to the
 // per-update ConfirmProbability path — probabilities, scores, AND ranking
 // order — across random groups, retrain boundaries, untrained attributes,
-// and 1/2/4/8 threads. Also pins the flat tree to the recursive reference
-// tree on fuzzed inputs.
+// and 1/2/4/8 threads. Also pins the column-view tree builder to the
+// recursive map/sort reference tree (bootstrap bags, sparse wide
+// categorical ids, tie-heavy numeric columns, 2-4 classes) and the forest
+// to ten reference trees trained on the same bags.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <iterator>
 #include <memory>
 #include <span>
 #include <string>
@@ -25,10 +29,39 @@ namespace gdr {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Flat tree ≡ recursive reference tree on fuzzed trees and inputs.
+// Column-view flat tree ≡ recursive map/sort reference tree on fuzzed
+// trees and inputs.
+
+// How a fuzzed training set's columns look.
+struct FuzzShape {
+  const char* name;
+  // Categorical ids are drawn from [0, categorical_range), so a wide range
+  // makes sparse ids with few repeats.
+  std::size_t categorical_range;
+  // Numeric values take this many distinct levels (heavy ties); 0 means
+  // continuous draws.
+  std::size_t numeric_levels;
+};
+
+constexpr FuzzShape kFuzzShapes[] = {
+    {"narrow", 5, 0},
+    {"wide-sparse-ids", 5000, 0},
+    {"tied-numeric", 5, 3},
+};
+
+double FuzzedValue(Rng* rng, bool categorical, const FuzzShape& shape) {
+  if (categorical) {
+    return static_cast<double>(rng->NextBounded(shape.categorical_range));
+  }
+  if (shape.numeric_levels > 0) {
+    return 2.5 * static_cast<double>(rng->NextBounded(shape.numeric_levels));
+  }
+  return rng->NextDouble() * 10.0;
+}
 
 TrainingSet FuzzedTrainingSet(Rng* rng, std::size_t num_features,
-                              int num_classes, std::size_t num_examples) {
+                              int num_classes, std::size_t num_examples,
+                              const FuzzShape& shape = kFuzzShapes[0]) {
   std::vector<FeatureDesc> descs;
   for (std::size_t f = 0; f < num_features; ++f) {
     const bool categorical = rng->NextBounded(2) == 0;
@@ -40,10 +73,8 @@ TrainingSet FuzzedTrainingSet(Rng* rng, std::size_t num_features,
   for (std::size_t i = 0; i < num_examples; ++i) {
     Example example;
     for (std::size_t f = 0; f < num_features; ++f) {
-      example.features.push_back(
-          descs[f].type == FeatureType::kCategorical
-              ? static_cast<double>(rng->NextBounded(5))
-              : rng->NextDouble() * 10.0);
+      example.features.push_back(FuzzedValue(
+          rng, descs[f].type == FeatureType::kCategorical, shape));
     }
     // Learnable-but-noisy labels so trees grow real split structure.
     const double signal = example.features[0] + example.features[1 % num_features];
@@ -65,38 +96,117 @@ std::vector<double> FuzzedInput(Rng* rng, const FeatureSchema& schema) {
   return features;
 }
 
+// A probe that reaches deep leaves: a training example with each feature
+// replaced, with probability 1/3, by a fresh draw of the same shape.
+std::vector<double> ProbeNear(Rng* rng, const TrainingSet& set,
+                              const FuzzShape& shape) {
+  std::vector<double> features =
+      set.example(rng->NextBounded(set.size())).features;
+  for (std::size_t f = 0; f < features.size(); ++f) {
+    if (rng->NextBounded(3) == 0) {
+      features[f] = FuzzedValue(rng, set.schema().IsCategorical(f), shape);
+    }
+  }
+  return features;
+}
+
+// Same leaf, bit-identical payload, and the majority is the first max of
+// the distribution (the builder's tie-break).
+void ExpectSameLeaf(const DecisionTree& tree,
+                    const oracles::ReferenceTree& reference,
+                    const std::vector<double>& input) {
+  std::vector<double> flat_dist;
+  const std::vector<double> expected = reference.PredictDistribution(input);
+  tree.PredictDistributionInto(input, &flat_dist);
+  EXPECT_EQ(flat_dist, expected);
+  const auto max_it = std::max_element(expected.begin(), expected.end());
+  EXPECT_EQ(tree.Predict(input),
+            static_cast<int>(std::distance(expected.begin(), max_it)));
+}
+
 class FlattenedTreeTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(FlattenedTreeTest, FlatWalkMatchesRecursiveOracleOnFuzzedInputs) {
   Rng rng(static_cast<std::uint64_t>(GetParam()) * 7919 + 1);
-  const std::size_t num_features = 2 + rng.NextBounded(6);
+  for (const FuzzShape& shape : kFuzzShapes) {
+    for (const bool bootstrap : {false, true}) {
+      SCOPED_TRACE(std::string(shape.name) +
+                   (bootstrap ? " bootstrap bag" : " all examples"));
+      const std::size_t num_features = 2 + rng.NextBounded(6);
+      const int num_classes = 2 + static_cast<int>(rng.NextBounded(3));
+      const TrainingSet set = FuzzedTrainingSet(
+          &rng, num_features, num_classes, 40 + rng.NextBounded(120), shape);
+      std::vector<std::size_t> bag(set.size());
+      for (std::size_t k = 0; k < bag.size(); ++k) {
+        bag[k] = bootstrap ? static_cast<std::size_t>(
+                                 rng.NextBounded(set.size()))
+                           : k;
+      }
+
+      DecisionTreeOptions options;
+      options.feature_subsample =
+          1 + static_cast<int>(rng.NextBounded(num_features));
+      // Both builders draw from identical Rng states, so they must make
+      // the same splits in the same pre-order.
+      Rng tree_rng = rng;
+      DecisionTree tree;
+      ASSERT_TRUE(tree.Train(set, bag, options, &tree_rng).ok());
+      oracles::ReferenceTree reference;
+      ASSERT_TRUE(reference.Train(set, bag, options, &rng).ok());
+      ASSERT_EQ(tree.node_count(), reference.node_count());
+      // Both consumed the same draws.
+      EXPECT_EQ(tree_rng.Next(), rng.Next());
+
+      for (int probe = 0; probe < 200; ++probe) {
+        ExpectSameLeaf(tree, reference, FuzzedInput(&rng, set.schema()));
+        ExpectSameLeaf(tree, reference, ProbeNear(&rng, set, shape));
+      }
+    }
+  }
+}
+
+TEST_P(FlattenedTreeTest, ForestMatchesReferenceTreesOnTheSameBags) {
+  Rng rng(static_cast<std::uint64_t>(GetParam()) * 15485863 + 5);
+  const FuzzShape& shape =
+      kFuzzShapes[static_cast<std::size_t>(GetParam()) % std::size(kFuzzShapes)];
+  const std::size_t num_features = 3 + rng.NextBounded(10);
   const int num_classes = 2 + static_cast<int>(rng.NextBounded(3));
-  const TrainingSet set =
-      FuzzedTrainingSet(&rng, num_features, num_classes, 40 + rng.NextBounded(120));
+  const TrainingSet set = FuzzedTrainingSet(&rng, num_features, num_classes,
+                                            30 + rng.NextBounded(200), shape);
 
-  DecisionTreeOptions options;
-  options.feature_subsample = 1 + static_cast<int>(rng.NextBounded(num_features));
-  // Both builders draw from identical Rng states, so they must make the
-  // same splits in the same pre-order.
-  Rng tree_rng = rng;
-  DecisionTree tree;
-  ASSERT_TRUE(tree.Train(set, options, &tree_rng).ok());
-  oracles::ReferenceTree reference;
-  ASSERT_TRUE(reference.Train(set, options, &rng).ok());
-  ASSERT_EQ(tree.node_count(), reference.node_count());
+  RandomForestOptions options;
+  options.seed = static_cast<std::uint64_t>(GetParam()) + 101;
+  RandomForest forest(options);
+  ASSERT_TRUE(forest.Train(set).ok());
 
-  std::vector<double> flat_dist;
-  for (int probe = 0; probe < 200; ++probe) {
-    const std::vector<double> input = FuzzedInput(&rng, set.schema());
-    // Same leaf, bit-identical payload.
-    const std::vector<double> expected = reference.PredictDistribution(input);
-    tree.PredictDistributionInto(input, &flat_dist);
-    EXPECT_EQ(flat_dist, expected);
-    // The majority must be the first-max of the distribution (the
-    // builder's tie-break).
-    const auto max_it = std::max_element(expected.begin(), expected.end());
-    EXPECT_EQ(tree.Predict(input),
-              static_cast<int>(std::distance(expected.begin(), max_it)));
+  // RandomForest's stream: per tree, a bootstrap bag of N draws, then the
+  // tree's own draws, with ⌈√M⌉ features per split.
+  DecisionTreeOptions tree_options = options.tree;
+  tree_options.feature_subsample = static_cast<int>(
+      std::ceil(std::sqrt(static_cast<double>(num_features))));
+  Rng forest_rng(options.seed);
+  std::vector<oracles::ReferenceTree> references(
+      static_cast<std::size_t>(options.num_trees));
+  for (oracles::ReferenceTree& reference : references) {
+    std::vector<std::size_t> bag(set.size());
+    for (std::size_t& index : bag) {
+      index = static_cast<std::size_t>(forest_rng.NextBounded(set.size()));
+    }
+    ASSERT_TRUE(reference.Train(set, bag, tree_options, &forest_rng).ok());
+  }
+
+  for (int probe = 0; probe < 300; ++probe) {
+    const std::vector<double> input = probe % 2 == 0
+                                          ? FuzzedInput(&rng, set.schema())
+                                          : ProbeNear(&rng, set, shape);
+    std::vector<double> expected(static_cast<std::size_t>(num_classes), 0.0);
+    for (const oracles::ReferenceTree& reference : references) {
+      const std::vector<double> dist = reference.PredictDistribution(input);
+      expected[static_cast<std::size_t>(std::distance(
+          dist.begin(), std::max_element(dist.begin(), dist.end())))] += 1.0;
+    }
+    for (double& f : expected) f /= static_cast<double>(references.size());
+    EXPECT_EQ(forest.VoteFractions(input), expected);
   }
 }
 

@@ -7,9 +7,10 @@
 //                            reading the aggregates (HypotheticalBatch
 //                            computes the same numbers in closed form).
 //   ReferenceTree            a decision tree as a vector of node structs,
-//                            built recursively and walked by pointer
-//                            (DecisionTree stores the same pre-order tree
-//                            as flat arrays).
+//                            built recursively with per-node maps and
+//                            sorts and walked by pointer (DecisionTree
+//                            builds the same pre-order tree from rank
+//                            histograms and stores it as flat arrays).
 //   ExpectResultsIdentical   field-by-field equality of two experiment
 //                            results, timings excluded.
 //
@@ -65,20 +66,31 @@ inline double MutateAndRevertBenefit(const Table& table, const RuleSet& rules,
   return benefit;
 }
 
-// The recursive decision-tree builder DecisionTree's flat builder must
-// agree with: given the same data, options and Rng state it consumes the
-// same random draws, creates the same nodes in the same pre-order, and
-// stores per-leaf distributions computed by the same divisions.
+// The recursive decision-tree builder DecisionTree's column-view builder
+// must agree with: given the same data, bag, options and Rng state it
+// consumes the same random draws, creates the same nodes in the same
+// pre-order, and stores per-leaf distributions computed by the same
+// divisions. It is the textbook form: per node and feature, a std::map of
+// class counts per categorical value, or a sort of (value, label) pairs for
+// a numeric threshold sweep, and fresh child item vectors.
 class ReferenceTree {
  public:
-  Status Train(const TrainingSet& data, const DecisionTreeOptions& options,
-               Rng* rng) {
+  // Trains on `indices` into `data`; duplicates weigh an example more, as
+  // in a bootstrap bag.
+  Status Train(const TrainingSet& data, const std::vector<std::size_t>& indices,
+               const DecisionTreeOptions& options, Rng* rng) {
     nodes_.clear();
     num_classes_ = data.num_classes();
-    std::vector<std::size_t> items(data.size());
-    std::iota(items.begin(), items.end(), 0);
+    std::vector<std::size_t> items = indices;
     Build(data, items, /*depth=*/0, options, rng);
     return Status::OK();
+  }
+
+  Status Train(const TrainingSet& data, const DecisionTreeOptions& options,
+               Rng* rng) {
+    std::vector<std::size_t> all(data.size());
+    std::iota(all.begin(), all.end(), 0);
+    return Train(data, all, options, rng);
   }
 
   std::size_t node_count() const { return nodes_.size(); }
