@@ -36,16 +36,14 @@ class ColumnView {
   bool IsCategorical(std::size_t f) const { return categorical_[f] != 0; }
   int label(std::size_t i) const { return labels_[i]; }
 
-  /// Example i's rank on feature f is ranks(f)[i], in [0, distinct(f)).
+  /// Example i's rank on feature f is ranks(f)[i]: the index of its value
+  /// in values(f).
   const std::uint32_t* ranks(std::size_t f) const {
     return ranks_.data() + f * num_examples();
   }
   /// Feature f's distinct values in ascending order, indexed by rank.
   const double* values(std::size_t f) const {
     return values_.data() + value_begin_[f];
-  }
-  std::size_t distinct(std::size_t f) const {
-    return value_begin_[f + 1] - value_begin_[f];
   }
   /// The largest distinct(f) over all features (histogram sizing).
   std::size_t max_distinct() const { return max_distinct_; }
