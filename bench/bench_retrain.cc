@@ -1,19 +1,16 @@
 // Forest retraining cost inside whole GDR runs: for each workload, runs
-// RunStrategyExperiment (default GDR, unlimited budget) and prints one JSON
-// object per run with the retrain phase (GdrTimings::learner_retrain_*),
-// the session's machine time and the run's deterministic outputs, so two
-// builds can be compared run for run. Each line carries the run's
-// user-feedback count and final loss: two builds that train identical
-// forests print identical values there.
+// RunStrategyExperiment once (GDR, seed 42, unlimited budget) and prints one
+// JSON object with the retrain phase (GdrTimings::learner_retrain_*), the
+// session's machine time and the run's deterministic outputs, so two builds
+// can be compared run for run. Each line carries the run's user-feedback
+// count and final loss: two builds that train identical forests print
+// identical values there. Repeated runs are separate invocations.
 //
 // Flags: --workload=name:key=val,... (repeatable; default
 //         dataset1:records=1000,seed=42 and dataset1:records=5000,seed=42)
-//         --strategy=NAME (default GDR)
-//         --seed=S (default 42)
-//         --repeats=R (runs per workload, default 1)
 //
 // Example:
-//   ./build/bench/bench_retrain --repeats=3
+//   ./build/bench/bench_retrain
 #include <cstdio>
 #include <string>
 
@@ -25,42 +22,32 @@ namespace {
 
 int Main(int argc, char** argv) {
   const bench::Flags flags(argc, argv);
-  const std::string strategy_name = flags.GetString("strategy", "GDR");
-  const Result<Strategy> strategy = StrategyFromName(strategy_name);
-  if (!strategy.ok()) {
-    std::fprintf(stderr, "%s\n", strategy.status().ToString().c_str());
-    return 2;
-  }
-  const std::uint64_t seed = flags.GetUint("seed", 42);
-  const std::int64_t repeats = flags.GetInt("repeats", 1);
   for (const std::string& spec : bench::WorkloadSpecsOrDefaults(
            flags, {"dataset1:records=1000,seed=42",
                    "dataset1:records=5000,seed=42"})) {
     auto dataset = bench::ResolveWorkloadCachedOrReport(spec);
     if (!dataset.ok()) return 2;
-    for (std::int64_t r = 0; r < repeats; ++r) {
-      ExperimentConfig config;
-      config.strategy = *strategy;
-      config.seed = seed;
-      auto result = RunStrategyExperiment(**dataset, config);
-      if (!result.ok()) {
-        std::fprintf(stderr, "%s: %s\n", spec.c_str(),
-                     result.status().ToString().c_str());
-        return 1;
-      }
-      const GdrTimings& timings = result->stats.timings;
-      std::printf(
-          "{\"workload\": \"%s\", \"strategy\": \"%s\", "
-          "\"retrain_seconds\": %.6f, \"retrains\": %llu, "
-          "\"total_seconds\": %.6f, \"wall_seconds\": %.6f, "
-          "\"user_feedback\": %zu, \"final_loss\": %.17g}\n",
-          spec.c_str(), result->strategy_name.c_str(),
-          timings.learner_retrain_seconds,
-          static_cast<unsigned long long>(timings.learner_retrains),
-          timings.total_seconds, result->wall_seconds,
-          result->stats.user_feedback, result->final_loss);
-      std::fflush(stdout);
+    ExperimentConfig config;
+    config.strategy = Strategy::kGdr;
+    config.seed = 42;
+    auto result = RunStrategyExperiment(**dataset, config);
+    if (!result.ok()) {
+      std::fprintf(stderr, "%s: %s\n", spec.c_str(),
+                   result.status().ToString().c_str());
+      return 1;
     }
+    const GdrTimings& timings = result->stats.timings;
+    std::printf(
+        "{\"workload\": \"%s\", \"strategy\": \"%s\", "
+        "\"retrain_seconds\": %.6f, \"retrains\": %llu, "
+        "\"total_seconds\": %.6f, \"wall_seconds\": %.6f, "
+        "\"user_feedback\": %zu, \"final_loss\": %.17g}\n",
+        spec.c_str(), result->strategy_name.c_str(),
+        timings.learner_retrain_seconds,
+        static_cast<unsigned long long>(timings.learner_retrains),
+        timings.total_seconds, result->wall_seconds,
+        result->stats.user_feedback, result->final_loss);
+    std::fflush(stdout);
   }
   return 0;
 }

@@ -242,9 +242,8 @@ std::int32_t DecisionTree::Build(Trainer& t, std::size_t begin,
   std::vector<std::size_t>& candidates = t.candidates;
   if (t.options.feature_subsample > 0 &&
       static_cast<std::size_t>(t.options.feature_subsample) < num_features) {
-    t.rng->SampleWithoutReplacementInto(
-        num_features, static_cast<std::size_t>(t.options.feature_subsample),
-        &candidates);
+    candidates = t.rng->SampleWithoutReplacement(
+        num_features, static_cast<std::size_t>(t.options.feature_subsample));
     std::sort(candidates.begin(), candidates.end());  // determinism of ties
   } else {
     candidates.resize(num_features);

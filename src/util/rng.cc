@@ -83,25 +83,18 @@ std::size_t Rng::NextWeighted(const std::vector<double>& weights) {
 
 std::vector<std::size_t> Rng::SampleWithoutReplacement(std::size_t n,
                                                        std::size_t k) {
-  std::vector<std::size_t> idx;
-  SampleWithoutReplacementInto(n, k, &idx);
-  return idx;
-}
-
-void Rng::SampleWithoutReplacementInto(std::size_t n, std::size_t k,
-                                       std::vector<std::size_t>* out) {
   assert(k <= n);
   // Partial Fisher-Yates over an index vector. For the library's use cases
   // (feature subsampling, error injection) n is small enough that the O(n)
   // initialization is irrelevant.
-  std::vector<std::size_t>& idx = *out;
-  idx.resize(n);
+  std::vector<std::size_t> idx(n);
   std::iota(idx.begin(), idx.end(), 0);
   for (std::size_t i = 0; i < k; ++i) {
     const std::size_t j = i + static_cast<std::size_t>(NextBounded(n - i));
     std::swap(idx[i], idx[j]);
   }
   idx.resize(k);
+  return idx;
 }
 
 }  // namespace gdr

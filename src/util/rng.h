@@ -51,11 +51,6 @@ class Rng {
   std::vector<std::size_t> SampleWithoutReplacement(std::size_t n,
                                                     std::size_t k);
 
-  /// The same draws written into `out` (resized to k), so a caller that
-  /// samples once per tree node reuses one buffer.
-  void SampleWithoutReplacementInto(std::size_t n, std::size_t k,
-                                    std::vector<std::size_t>* out);
-
  private:
   std::uint64_t state_[4];
 };
